@@ -21,6 +21,7 @@ columns for release.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -60,6 +61,13 @@ def _check_bools(name: str, values: Sequence[object], expected: int) -> tuple[bo
     return values
 
 
+def _check_tenure(tenure_years: float) -> None:
+    if not math.isfinite(tenure_years):
+        raise InvalidForm(f"tenure_years must be finite, got {tenure_years}")
+    if tenure_years < 0:
+        raise InvalidForm(f"tenure_years must be non-negative, got {tenure_years}")
+
+
 @dataclass(frozen=True)
 class AssessmentForm:
     """Questionnaire answers for one data requestor.
@@ -91,8 +99,7 @@ class AssessmentForm:
             raise InvalidForm("external_linkage must be true/false")
         if not isinstance(self.tenure_years, (int, float)) or isinstance(self.tenure_years, bool):
             raise InvalidForm("tenure_years must be a number")
-        if self.tenure_years < 0:
-            raise InvalidForm(f"tenure_years must be non-negative, got {self.tenure_years}")
+        _check_tenure(self.tenure_years)
 
 
 @dataclass(frozen=True)
@@ -126,8 +133,7 @@ def score_reid_ability(
 def score_understanding(knowledge: Sequence[bool], tenure_years: float) -> int:
     """Yes answers among knowledge indicators, plus tenure bracket points."""
     knowledge = _check_bools("knowledge", knowledge, 3)
-    if tenure_years < 0:
-        raise InvalidForm(f"tenure_years must be non-negative, got {tenure_years}")
+    _check_tenure(tenure_years)
     tenure_points = next(pts for floor, pts in _TENURE_BRACKETS if tenure_years >= floor)
     return sum(knowledge) + tenure_points
 

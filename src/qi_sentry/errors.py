@@ -10,13 +10,13 @@ class QiSentryError(Exception):
 class IngestError(QiSentryError):
     """Raised when delimited input cannot be turned into a table.
 
-    ``row`` is the 1-based physical row number of the offending record,
-    or None when the problem is not tied to a specific row (e.g. a
-    duplicate header name).
+    ``row`` is the 1-based number of the offending record, counting a
+    header as record 1, or None when the problem is not tied to a
+    specific record (e.g. undecodable bytes). The message names it.
     """
 
     def __init__(self, message: str, row: int | None = None):
-        super().__init__(message)
+        super().__init__(message if row is None else f"{message} (record {row})")
         self.row = row
 
 

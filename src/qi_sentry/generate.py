@@ -91,14 +91,19 @@ def _sample_codes(rng: np.random.Generator, spec: ColumnSpec, rows: int) -> np.n
 
 
 def generate_table(spec: SyntheticSpec) -> Table:
-    """Materialize a spec; one shared PCG64 stream, columns drawn in order."""
+    """Materialize a spec; one shared PCG64 stream, columns drawn in order.
+
+    Symbol i is the string ``f"v{i}"``; symbols no row drew are left out.
+    """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    pairs = []
+    columns = []
     for col in spec.columns:
         codes = _sample_codes(rng, col, spec.rows)
-        alphabet = np.array([f"v{i}" for i in range(col.distinct_values)], dtype=object)
-        pairs.append((col.name, tuple(alphabet[codes].tolist())))
-    return Table.from_columns(spec.name, pairs, canonical=True)
+        drawn = np.bincount(codes, minlength=col.distinct_values) > 0
+        compact = (np.cumsum(drawn) - 1).astype(np.int32)
+        values = [f"v{i}" for i in np.flatnonzero(drawn).tolist()]
+        columns.append((col.name, values, compact[codes]))
+    return Table.from_codes(spec.name, columns)
 
 
 def rules_for_spec(spec: SyntheticSpec) -> ClassificationRules:

@@ -14,17 +14,17 @@ Two metrics per column, both over exact cell symbols:
 A column's re-identifiability score is the unrounded sum of the two.
 Columns whose score is strictly positive survive as secondary QIs.
 
-The grouping engine factorizes every needed column once, then counts
-distinct rows per subset by combining the per-column integer codes in
-mixed radix, recompressing whenever the radix product would overflow.
-Scoring a table costs one full-universe grouping plus one grouping per
-scored column.
+The grouping engine reads the integer codes the table stores for each
+column (see :mod:`qi_sentry.table`) and counts distinct rows per subset
+by combining them in mixed radix, recompressing whenever the radix
+product would overflow. Uniqueness counts the codes with
+``np.bincount``. Scoring a table costs one full-universe grouping plus
+one grouping per scored column.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -75,33 +75,22 @@ class EquivalenceCount:
 class GroupingEngine:
     """Counts equivalence classes over column subsets of one table.
 
-    Per-column factorization is computed lazily and cached, so repeated
-    subset queries against the same table share the expensive pass over
-    the raw cells. Not thread-safe while priming; :meth:`prime` the
-    needed columns first if class_count will be called concurrently.
+    Works on the table's stored codes and keeps no state of its own, so
+    one engine may serve several threads at once.
     """
 
     def __init__(self, table: Table):
         self._table = table
-        self._codes: dict[int, np.ndarray] = {}
-        self._cards: dict[int, int] = {}
 
     def prime(self, columns: Iterable[str]) -> None:
-        for name in columns:
-            self._column_codes(self._table.position_of(name))
+        """Check that ``columns`` exist; there is nothing left to prepare.
 
-    def _column_codes(self, position: int) -> tuple[np.ndarray, int]:
-        if position not in self._codes:
-            cells = self._table.cells[position]
-            # dict.fromkeys runs at C speed and keeps first-seen order,
-            # which makes the codes (and everything derived) deterministic
-            lookup = {value: code for code, value in enumerate(dict.fromkeys(cells))}
-            codes = np.fromiter(
-                (lookup[v] for v in cells), dtype=np.int64, count=len(cells)
-            )
-            self._codes[position] = codes
-            self._cards[position] = len(lookup)
-        return self._codes[position], self._cards[position]
+        Kept for callers that prime an engine before counting, such as
+        the benchmark's traced run, which times this call as the
+        factorize step.
+        """
+        for name in columns:
+            self._table.position_of(name)
 
     def class_count(self, subset: Iterable[str]) -> int:
         if self._table.row_count == 0:
@@ -109,20 +98,19 @@ class GroupingEngine:
         positions = sorted({self._table.position_of(c) for c in subset})
         if not positions:
             return 1
+        values, codes = self._table.values, self._table.codes
         if len(positions) == 1:
-            return self._column_codes(positions[0])[1]
+            return len(values[positions[0]])
 
-        group_ids: np.ndarray | None = None
-        radix = 1
-        for position in positions:
-            codes, cardinality = self._column_codes(position)
-            if group_ids is None:
-                group_ids, radix = codes, cardinality
-                continue
+        # widen before the first multiply: int32 codes would wrap
+        group_ids = codes[positions[0]].astype(np.int64)
+        radix = len(values[positions[0]])
+        for position in positions[1:]:
+            cardinality = len(values[position])
             if radix > _RADIX_LIMIT // max(cardinality, 1):
                 uniques, group_ids = np.unique(group_ids, return_inverse=True)
                 radix = len(uniques)
-            group_ids = group_ids * cardinality + codes
+            group_ids = group_ids * cardinality + codes[position]
             radix *= cardinality
         return int(np.unique(group_ids).size)
 
@@ -133,11 +121,10 @@ class GroupingEngine:
 
 def uniqueness(table: Table, column: str) -> float:
     """Fraction of cells occurring exactly once; missing is one shared symbol."""
-    cells = table.column_values(column)
+    codes = table.codes[table.position_of(column)]
     if table.row_count == 0:
         raise MetricUndefined(f"table {table.name!r} has no rows")
-    counts = Counter(cells)
-    singles = sum(1 for n in counts.values() if n == 1)
+    singles = int(np.count_nonzero(np.bincount(codes) == 1))
     return singles / table.row_count
 
 
@@ -178,7 +165,6 @@ def score_columns(
         universe = set(table.column_names)
 
     engine = GroupingEngine(table)
-    engine.prime(universe)
     full = engine.class_count(universe)
 
     def score_one(name: str) -> RiskScore:

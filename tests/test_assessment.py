@@ -173,6 +173,14 @@ def test_form_rejects_negative_tenure():
         form(tenure_years=-0.5)
 
 
+@pytest.mark.parametrize("tenure", [float("nan"), float("inf")])
+def test_form_rejects_non_finite_tenure(tenure):
+    with pytest.raises(InvalidForm):
+        form(tenure_years=tenure)
+    with pytest.raises(InvalidForm):
+        score_understanding((True, True, True), tenure)
+
+
 def test_form_rejects_non_numeric_tenure():
     with pytest.raises(InvalidForm):
         form(tenure_years="long")
@@ -206,6 +214,7 @@ def test_parse_form_valid():
         lambda d: d.update(protection=[True] * 5),
         lambda d: d.update(knowledge="yes"),
         lambda d: d.update(tenure_years=-2),
+        lambda d: d.update(tenure_years=float("nan")),
         lambda d: d.update(intent=[1, 0, 0]),
     ],
 )

@@ -164,6 +164,19 @@ def test_score_header_only_input_exits_2(workspace, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["score", "select", "oracle"])
+def test_oversized_field_is_one_error_line_and_exit_2(workspace, capsys, command):
+    path = workspace / "huge.csv"
+    path.write_text(DEMO_CSV + "45,64,F," + "9" * 200_000 + "\n")
+    extra = ["--rules", str(workspace / "rules.json")] if command != "oracle" else []
+    if command == "select":
+        extra += ["--assessment", str(workspace / "high.json")]
+    code, out, err = run(capsys, command, "--input", str(path), *extra)
+    assert code == 2
+    assert out == ""
+    assert err == "error: malformed record: field larger than field limit (131072) (record 7)\n"
+
+
 def test_score_synthetic_is_deterministic(workspace, capsys):
     spec = {
         "rows": 1000,
@@ -278,6 +291,19 @@ def test_select_with_low_override_selects_both(workspace, capsys):
     assert doc["threshold"] == 0.1
     assert doc["grade_threshold"] == 0.25
     assert doc["threshold_overridden"] is True
+
+
+@pytest.mark.parametrize("universe", ["all", "qi"])
+def test_select_works_on_codes_without_decoding_cells(workspace, capsys, monkeypatch, universe):
+    from qi_sentry.table import Table
+
+    def decoded(table):
+        raise AssertionError("select decoded the cells")
+
+    monkeypatch.setattr(Table, "cells", property(decoded))
+    code, out, _ = run(capsys, *select_args(workspace, "high.json", "--universe", universe))
+    assert code == 0
+    assert "Age" in out
 
 
 def test_select_low_grade_selects_nothing(workspace, capsys):

@@ -44,6 +44,13 @@ def test_values_come_from_the_declared_alphabet():
     assert set(table.column_values("a")) <= {"v0", "v1", "v2"}
 
 
+def test_only_drawn_symbols_are_stored():
+    # cardinality is read as the number of stored values, so none may be unused
+    table = generate_table(spec_of(ColumnSpec("a", 10_000), rows=50))
+    values = table.values[table.position_of("a")]
+    assert len(values) == len(set(table.column_values("a"))) <= 50
+
+
 def test_zipf_skews_toward_low_ranks():
     table = generate_table(spec_of(ColumnSpec("a", 100, "zipf(2.0)"), rows=2000))
     values = table.column_values("a")

@@ -9,14 +9,20 @@ from hypothesis import strategies as st
 
 from qi_sentry import (
     AssessmentForm,
+    ClassificationRules,
+    ColumnClass,
     IngestOptions,
     LinkageGrade,
     RiskScore,
+    Rule,
     Table,
+    UniversePolicy,
     UserGrade,
+    classify,
     grade_requestor,
     influence,
     ingest_delimited,
+    score_columns,
     select_final_qis,
     threshold_for,
     uniqueness,
@@ -68,6 +74,27 @@ def test_metric_ranges(table):
         f = influence(table, name)
         assert 0.0 <= u <= 1.0
         assert 0.0 <= f < 1.0
+
+
+# -- the shipped scoring path against the oracle -------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(tables(max_rows=15, max_cols=5), st.data())
+def test_score_columns_matches_oracle(table, data):
+    names = list(table.column_names)
+    qis = data.draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    classified = classify(
+        table, ClassificationRules(rules=tuple(Rule(n, ColumnClass.QI) for n in qis))
+    )
+    for policy in UniversePolicy:
+        universe = set(qis) if policy is UniversePolicy.PRIMARY_QIS_ONLY else set(names)
+        expected = [
+            RiskScore.of(n, oracle_uniqueness(table, n), oracle_influence(table, n, universe))
+            for n in names
+            if n in qis
+        ]
+        assert score_columns(classified, policy) == expected
+        assert score_columns(classified, policy, max_workers=4) == expected
 
 
 # -- equivalence class counting ------------------------------------------------

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import csv
 import io
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qi_sentry.table as table_module
 from qi_sentry import IngestError, IngestOptions, NoSuchColumn, Table, ingest_delimited
 from qi_sentry.table import canonicalize, column_values
 
@@ -39,6 +45,39 @@ def test_ragged_row_reports_record_number():
     with pytest.raises(IngestError) as exc:
         ingest_delimited(data)
     assert exc.value.row == 3  # header is record 1
+
+
+def test_ragged_row_in_a_later_chunk_reports_record_number(monkeypatch):
+    monkeypatch.setattr(table_module, "_CHUNK_RECORDS", 3)
+    data = b"a,b\n" + b"1,2\n" * 7 + b"1\n" + b"1,2\n" * 3
+    with pytest.raises(IngestError) as exc:
+        ingest_delimited(data)
+    assert exc.value.row == 9
+    assert "(record 9)" in str(exc.value)
+
+
+@pytest.mark.parametrize("chunk", [3, 4096])
+def test_oversized_field_is_an_ingest_error_with_record_number(monkeypatch, chunk):
+    monkeypatch.setattr(table_module, "_CHUNK_RECORDS", chunk)
+    data = b"a,b\n" + b"1,2\n" * 5 + b"1," + b"x" * 200_000 + b"\n1,2\n"
+    with pytest.raises(IngestError) as exc:
+        ingest_delimited(data)
+    assert exc.value.row == 7
+    assert "field larger than field limit" in str(exc.value)
+
+
+def test_oversized_header_field_is_record_1():
+    with pytest.raises(IngestError) as exc:
+        ingest_delimited(b"a," + b"x" * 200_000 + b"\n1,2\n")
+    assert exc.value.row == 1
+
+
+def test_ingest_leaves_the_callers_stream_open():
+    stream = io.BytesIO(DEMO_CSV)
+    ingest_delimited(stream)
+    assert not stream.closed
+    stream.seek(0)
+    assert stream.read() == DEMO_CSV
 
 
 def test_duplicate_header_names_rejected_case_insensitively():
@@ -173,3 +212,120 @@ def test_row_access(demo_table):
 def test_delimiter_must_be_single_char():
     with pytest.raises(IngestError):
         ingest_delimited(b"a\n1\n", IngestOptions(delimiter=",,"))
+
+
+def test_columns_store_each_distinct_value_once(demo_table):
+    position = demo_table.position_of("Weight")
+    assert sorted(demo_table.values[position]) == ["45", "58", "72"]
+    codes = demo_table.codes[position]
+    assert codes.dtype == "int32"
+    assert [demo_table.values[position][c] for c in codes] == ["72", "72", "58", "45", "45"]
+
+
+def test_table_rejects_codes_of_the_wrong_length():
+    with pytest.raises(ValueError):
+        Table(
+            name="t",
+            columns=(table_module.ColumnMeta("a", 0),),
+            values=(("x",),),
+            codes=(np.zeros(2, dtype="int32"),),
+            row_count=3,
+        )
+
+
+def test_tables_built_in_different_orders_compare_equal():
+    by_rows = Table.from_rows("t", ["a"], [["y"], ["x"], ["y"]])
+    coded = Table.from_codes(
+        "t", [("a", ("x", "y"), np.array([1, 0, 1], dtype="int32"))]
+    )
+    assert by_rows == coded
+    assert by_rows != Table.from_rows("t", ["a"], [["y"], ["y"], ["x"]])
+
+
+# -- ingest against the former cell-by-cell parser ----------------------------
+
+def reference_ingest(data: bytes, opts: IngestOptions) -> tuple[tuple[str, ...], tuple]:
+    """Column names and cells, parsed the way ingest did before it factorized:
+
+    one canonicalized string per cell from a plain csv.reader loop.
+    """
+    records = csv.reader(io.StringIO(data.decode("utf-8-sig")), delimiter=opts.delimiter)
+    if opts.has_header:
+        names = [cell.strip(" \t\r\n\x0b\x0c") for cell in next(records)]
+        cols: list[list] = [[] for _ in names]
+    else:
+        names, cols = [], []
+    for record in records:
+        if not names:
+            names = [f"col_{j}" for j in range(len(record))]
+            cols = [[] for _ in names]
+        assert len(record) == len(names)
+        for col, cell in zip(cols, record):
+            value = canonicalize(cell)
+            col.append(None if value == opts.na_token else value)
+    return tuple(names), tuple(tuple(col) for col in cols)
+
+
+# padding, spellings of missing, quoted delimiters, quotes and newlines
+TRICKY = ["a", " a", "a\t", "NA", " NA ", "null", "", "  ", "x,y", "x;y", "x\ty",
+          'q"t', "l1\nl2", "r\r\nn", "\u00a0x", "\u00e9"]
+CELL_TEXT = st.one_of(
+    st.sampled_from(TRICKY),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+            max_size=4),
+)
+
+
+def to_bytes(header, rows, delimiter: str, bom: bool) -> bytes:
+    out = io.StringIO()
+    writer = csv.writer(out, delimiter=delimiter)  # "\r\n" endings quote both \r and \n
+    if header is not None:
+        writer.writerow(header)
+    writer.writerows(rows)
+    return (b"\xef\xbb\xbf" if bom else b"") + out.getvalue().encode("utf-8")
+
+
+@st.composite
+def delimited_inputs(draw):
+    n_cols = draw(st.integers(1, 4))
+    has_header = draw(st.booleans())
+    rows = draw(st.lists(st.lists(CELL_TEXT, min_size=n_cols, max_size=n_cols),
+                         min_size=0 if has_header else 1, max_size=14))
+    header = [f"{draw(st.sampled_from(['', ' ']))}c{j}" for j in range(n_cols)]
+    opts = IngestOptions(
+        delimiter=draw(st.sampled_from([",", "\t", ";"])),
+        has_header=has_header,
+        table_name="t",
+        na_token=draw(st.sampled_from(["NA", "null"])),
+    )
+    data = to_bytes(header if has_header else None, rows, opts.delimiter, draw(st.booleans()))
+    return data, opts
+
+
+def assert_matches_reference(data: bytes, opts: IngestOptions) -> None:
+    table = ingest_delimited(data, opts)
+    names, cells = reference_ingest(data, opts)
+    assert table.column_names == names
+    assert table.cells == cells
+    assert table.row_count == (len(cells[0]) if cells else 0)
+    assert Table.from_rows("t", names, list(zip(*cells))) == table
+    for values, codes in zip(table.values, table.codes):
+        assert len(set(values)) == len(values)
+        assert (np.bincount(codes, minlength=len(values)) > 0).all()
+
+
+@settings(max_examples=400, deadline=None)
+@given(delimited_inputs(), st.integers(1, 5))
+def test_ingest_matches_reference_parser(case, chunk):
+    data, opts = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(table_module, "_CHUNK_RECORDS", chunk)  # many chunks per input
+        assert_matches_reference(data, opts)
+
+
+def test_ingest_matches_reference_parser_beyond_one_chunk():
+    rng = random.Random(4097)
+    rows = [[rng.choice(TRICKY) for _ in range(3)] for _ in range(2 * 4096 + 17)]
+    for has_header in (True, False):
+        data = to_bytes(["a", "b", "c"] if has_header else None, rows, ",", bom=True)
+        assert_matches_reference(data, IngestOptions(has_header=has_header, table_name="t"))
