@@ -76,23 +76,48 @@ def first_divergence(table: Table) -> Divergence | None:
     """Cross-check the production engine against the oracle on one table.
 
     Compares the full-table equivalence-class count, then per-column
-    uniqueness and influence (universe = all columns). Exact equality;
-    returns the first mismatch, or None when the paths agree.
+    uniqueness and influence (universe = all columns), then the scores
+    of the shipped scoring path, ``score_columns``, per column: with
+    every column scored, and with the columns at even positions scored
+    under both universe policies. Exact equality; returns the first
+    mismatch, or None when the paths agree.
     """
     from . import metrics  # late import: the oracle must not depend on engine internals at module level
+    from .classifier import ClassifiedTable, ColumnClass
 
     all_columns = set(table.column_names)
     engine_full = metrics.equivalence_class_count(table, all_columns)
     oracle_full = oracle_equivalence_class_count(table, all_columns)
     if engine_full != oracle_full:
         return Divergence("class_count", None, engine_full, oracle_full)
+    unique = {}
     for name in table.column_names:
         eng_u = metrics.uniqueness(table, name)
-        ora_u = oracle_uniqueness(table, name)
-        if eng_u != ora_u:
-            return Divergence("uniqueness", name, eng_u, ora_u)
+        unique[name] = oracle_uniqueness(table, name)
+        if eng_u != unique[name]:
+            return Divergence("uniqueness", name, eng_u, unique[name])
         eng_i = metrics.influence(table, name)
         ora_i = oracle_influence(table, name)
         if eng_i != ora_i:
             return Divergence("influence", name, eng_i, ora_i)
+
+    evens = set(table.column_names[::2])
+    runs = [(all_columns, metrics.UniversePolicy.ALL_COLUMNS)]
+    runs += [(evens, policy) for policy in metrics.UniversePolicy]
+    for scored, policy in runs:
+        classified = ClassifiedTable(
+            table=table,
+            classes={n: ColumnClass.QI if n in scored else ColumnClass.NSA for n in all_columns},
+            primary_qis=frozenset(scored),
+        )
+        universe = scored if policy is metrics.UniversePolicy.PRIMARY_QIS_ONLY else all_columns
+        full = oracle_equivalence_class_count(table, universe)
+        for score in metrics.score_columns(classified, policy):
+            metric = f"score_columns[universe={policy}]"
+            if score.uniqueness != unique[score.column]:
+                return Divergence(f"{metric}.uniqueness", score.column,
+                                  score.uniqueness, unique[score.column])
+            ora_i = 1 - oracle_equivalence_class_count(table, universe - {score.column}) / full
+            if score.influence != ora_i:
+                return Divergence(f"{metric}.influence", score.column, score.influence, ora_i)
     return None

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from fractions import Fraction
 from typing import Sequence
 
 from .assessment import RequestorScore, UserGrade
@@ -57,9 +58,25 @@ def manual_threshold(value: float, grade: UserGrade | None = None) -> SelectionT
 def select_final_qis(
     scores: Sequence[RiskScore], threshold: SelectionThreshold | float
 ) -> set[str]:
-    """Columns whose unrounded score reaches the threshold (inclusive)."""
-    cut = threshold.value if isinstance(threshold, SelectionThreshold) else threshold
-    return {s.column for s in scores if s.sum >= cut}
+    """Columns whose unrounded score reaches the threshold (inclusive).
+
+    The test is exact, against the decimal the threshold prints as, so
+    a score of exactly 1/5 reaches 0.2 (whose binary value lies just
+    above 1/5) and a score of exactly 1/2 reaches 0.5 even where its
+    float sum rounds below it. A computed score is taken from its
+    counts; a score built from floats alone, as the decimal its sum
+    prints as, which orders it against the threshold as the floats do.
+    """
+    cut = _decimal(threshold.value if isinstance(threshold, SelectionThreshold) else threshold)
+    return {
+        s.column for s in scores
+        if (s.counts.exact_sum() if s.counts is not None else _decimal(s.sum)) >= cut
+    }
+
+
+def _decimal(value: float) -> Fraction:
+    """The exact value of the shortest decimal that reads back as ``value``."""
+    return Fraction(repr(float(value)))
 
 
 @dataclass(frozen=True)
@@ -107,6 +124,7 @@ def build_report(
 
     by_column = {s.column: s for s in scores}
     secondary = secondary_qis(scores)
+    reaching = select_final_qis(scores, threshold)
     entries = []
     for meta in classified.table.columns:
         cls = classified.classes[meta.name]
@@ -121,7 +139,7 @@ def build_report(
                     influence=score.influence,
                     sum=score.sum,
                     secondary=is_secondary,
-                    selected=is_secondary and score.sum >= threshold.value,
+                    selected=is_secondary and meta.name in reaching,
                 )
             )
         else:

@@ -325,8 +325,9 @@ def ingest_delimited(source: bytes | IO[bytes], options: IngestOptions | None = 
     string.
 
     Raises :class:`IngestError` for undecodable bytes, zero columns,
-    duplicate or empty header names, records the csv parser rejects
-    (such as a field over its size limit) and ragged rows (``row``
+    duplicate or empty header names, records the strict csv parser
+    rejects (a field over its size limit, a quote left open at the end
+    of the input, text after a closing quote) and ragged rows (``row``
     carries the 1-based record number, counting the header as record 1).
     """
     opts = options or IngestOptions()
@@ -336,7 +337,7 @@ def ingest_delimited(source: bytes | IO[bytes], options: IngestOptions | None = 
     stream = io.BytesIO(source) if isinstance(source, bytes) else source
     text = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
     try:
-        return _ingest_records(csv.reader(text, delimiter=opts.delimiter), opts)
+        return _ingest_records(csv.reader(text, delimiter=opts.delimiter, strict=True), opts)
     except UnicodeDecodeError as exc:
         raise IngestError(f"input is not valid UTF-8: {exc}") from None
     finally:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from qi_sentry.cli import main
@@ -177,6 +178,22 @@ def test_oversized_field_is_one_error_line_and_exit_2(workspace, capsys, command
     assert err == "error: malformed record: field larger than field limit (131072) (record 7)\n"
 
 
+@pytest.mark.parametrize("command", ["score", "select"])
+@pytest.mark.parametrize("tail", ['45,"64,F,47853\n45,21,F,47853\n', '45,"64"x,F,47853\n'])
+def test_malformed_quote_is_one_error_line_and_exit_2(workspace, capsys, command, tail):
+    path = workspace / "quote.csv"
+    path.write_text(DEMO_CSV + tail)
+    extra = ["--assessment", str(workspace / "high.json")] if command == "select" else []
+    code, out, err = run(
+        capsys, command, "--input", str(path), "--rules", str(workspace / "rules.json"), *extra
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed record: ")
+    assert err.endswith(" (record 7)\n")
+    assert err.count("\n") == 1
+
+
 def test_score_synthetic_is_deterministic(workspace, capsys):
     spec = {
         "rows": 1000,
@@ -291,6 +308,18 @@ def test_select_with_low_override_selects_both(workspace, capsys):
     assert doc["threshold"] == 0.1
     assert doc["grade_threshold"] == 0.25
     assert doc["threshold_overridden"] is True
+
+
+def test_select_threshold_reached_exactly_selects(workspace, capsys):
+    # Weight scores exactly 1/5; the binary value of 0.2 lies just above
+    # 1/5, but the threshold is taken as the decimal it was given as
+    code, out, _ = run(
+        capsys, *select_args(workspace, "high.json", "--threshold", "0.2", "--format", "json")
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["final_qis"] == ["Age", "Weight"]
+    assert doc["threshold"] == 0.2
 
 
 @pytest.mark.parametrize("universe", ["all", "qi"])
@@ -414,6 +443,24 @@ def test_oracle_detects_corrupted_engine(workspace, capsys, monkeypatch):
     monkeypatch.setattr(metrics, "equivalence_class_count", lambda table, subset: 123)
     code, _, err = run(capsys, "oracle", "--input", str(workspace / "demo.csv"))
     assert code == 1
+    assert "divergence" in err
+
+
+def test_oracle_detects_corrupted_pair_ids(workspace, capsys, monkeypatch):
+    import qi_sentry.metrics as metrics
+
+    real = metrics._pair_ids
+
+    def last_group_merged_into_first(*args):
+        ids, count = real(*args)
+        if count == 1:
+            return ids, count
+        return np.where(ids == count - 1, 0, ids), count - 1
+
+    monkeypatch.setattr(metrics, "_pair_ids", last_group_merged_into_first)
+    code, out, err = run(capsys, "oracle", "--input", str(workspace / "demo.csv"))
+    assert code == 1
+    assert out == ""
     assert "divergence" in err
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 
+import numpy as np
 import pytest
 
 from qi_sentry import (
@@ -126,9 +127,9 @@ def test_grouping_engine_equivalence_count(demo_table):
 
 
 def test_class_count_compression_path_matches_oracle():
-    # 10 near-distinct columns of a 300-row table push the combined
-    # radix past the int64 budget, forcing the mid-combination
-    # recompression at least once
+    # 10 near-distinct columns of a 300-row table: every pair key space
+    # is far above 4n, so each fold goes through np.unique, and the
+    # rows are all told apart before the last column
     rng = random.Random(3001)
     rows = [[f"x{rng.randint(0, 299)}" for _ in range(10)] for _ in range(300)]
     table = Table.from_rows("wide", [f"c{i}" for i in range(10)], rows)
@@ -138,11 +139,11 @@ def test_class_count_compression_path_matches_oracle():
 
 
 def test_class_count_with_tiny_radix_budget_matches_oracle(monkeypatch):
-    # shrink the overflow budget so recompression fires every column
-    # or two, then sweep random tables against the pairwise oracle
+    # a zero sort-free budget sends every fold through np.unique, then
+    # sweep random tables against the pairwise oracle
     import qi_sentry.metrics as metrics
 
-    monkeypatch.setattr(metrics, "_RADIX_LIMIT", 2**6)
+    monkeypatch.setattr(metrics, "_SORT_FREE_FACTOR", 0)
     rng = random.Random(66)
     for _ in range(50):
         table = random_table(rng, max_rows=16, max_cols=6)
@@ -246,6 +247,114 @@ def test_score_columns_parallel_matches_serial(demo_table, all_qi_rules):
 def test_score_columns_deterministic(demo_table, all_qi_rules):
     classified = classify(demo_table, all_qi_rules)
     assert score_columns(classified) == score_columns(classified)
+
+
+def classified_with(table, qis):
+    return classify(table, qi_rules(*qis))
+
+
+def oracle_scores(table, qis, policy):
+    universe = set(qis) if policy is UniversePolicy.PRIMARY_QIS_ONLY else set(table.column_names)
+    return [
+        RiskScore.of(n, oracle_uniqueness(table, n), oracle_influence(table, n, universe))
+        for n in table.column_names
+        if n in qis
+    ]
+
+
+@pytest.mark.parametrize("policy", list(UniversePolicy))
+def test_score_columns_no_scored_column(demo_table, policy):
+    assert score_columns(classify(demo_table, ClassificationRules()), policy) == []
+
+
+@pytest.mark.parametrize("policy", list(UniversePolicy))
+def test_score_columns_one_scored_column(demo_table, policy):
+    (score,) = score_columns(classified_with(demo_table, ["age"]), policy)
+    assert score == oracle_scores(demo_table, {"Age"}, policy)[0]
+
+
+def test_score_columns_qi_universe_of_one_column_leaves_one_class(demo_table):
+    # N(empty set) = 1: without its only column the universe is one class
+    (score,) = score_columns(classified_with(demo_table, ["zipcode"]), UniversePolicy.PRIMARY_QIS_ONLY)
+    assert (score.counts.full, score.counts.without) == (2, 1)
+    assert score.influence == 0.5
+
+
+@pytest.mark.parametrize("policy", list(UniversePolicy))
+def test_score_columns_zero_rows(policy):
+    table = Table.from_rows("t", ["a", "b"], [])
+    with pytest.raises(MetricUndefined):
+        score_columns(classified_with(table, ["a"]), policy)
+    with pytest.raises(MetricUndefined):
+        score_columns(classify(table, ClassificationRules()), policy)
+
+
+def test_score_columns_counts(demo_table, all_qi_rules):
+    counts = [s.counts for s in score_columns(classify(demo_table, all_qi_rules))]
+    assert [(c.singles, c.rows, c.full, c.without) for c in counts] == [
+        (1, 5, 4, 4), (1, 5, 4, 3), (0, 5, 4, 4), (0, 5, 4, 4)
+    ]
+
+
+def test_saturated_context_stops_folding(monkeypatch):
+    # "id" alone tells every row apart, so once it is folded in no pair
+    # of ids is formed again, and every leave-one-out count is n
+    import qi_sentry.metrics as metrics
+
+    rng = random.Random(7)
+    rows = [[str(i)] + [rng.choice("xyz") for _ in range(4)] for i in range(30)]
+    table = Table.from_rows("t", ["id", "a", "b", "c", "d"], rows)
+    calls = []
+    real = metrics._pair_ids
+    monkeypatch.setattr(metrics, "_pair_ids", lambda *args: calls.append(1) or real(*args))
+    qis = {"a", "b", "c", "d"}
+    scores = score_columns(classified_with(table, qis), UniversePolicy.ALL_COLUMNS)
+    assert calls == []
+    assert scores == oracle_scores(table, qis, UniversePolicy.ALL_COLUMNS)
+    assert {s.counts.without for s in scores} == {30}
+    assert GroupingEngine(table).class_count(table.column_names) == 30
+    assert calls == []
+
+
+@pytest.mark.parametrize("sort_free_factor", [4, 0])
+@pytest.mark.parametrize("policy", list(UniversePolicy))
+def test_score_columns_ten_columns_matches_oracle(monkeypatch, sort_free_factor, policy):
+    # ten scored columns recurse four levels deep (10 -> 5 -> 2 -> 1);
+    # each has a row that differs from row 0 in that column alone, so
+    # every influence is positive, and every row appears twice, so no
+    # context ever saturates
+    import qi_sentry.metrics as metrics
+
+    monkeypatch.setattr(metrics, "_SORT_FREE_FACTOR", sort_free_factor)
+    rng = random.Random(1010)
+    names = [f"c{i}" for i in range(12)]
+    distinct = [[rng.choice(["a", "b", "c", None]) for _ in names] for _ in range(12)]
+    for i in range(1, 11):
+        distinct.append(list(distinct[0]))
+        distinct[-1][i] = "z"
+    table = Table.from_rows("t", names, distinct + distinct[::-1])
+    qis = set(names[1:11])
+    scores = score_columns(classified_with(table, qis), policy)
+    assert scores == oracle_scores(table, qis, policy)
+    assert all(s.influence > 0 for s in scores)
+
+
+def test_pair_ids_branches_agree():
+    import qi_sentry.metrics as metrics
+
+    rng = np.random.default_rng(5)
+    for card_a, card_b in [(1, 1), (3, 7), (50, 40), (200, 200)]:
+        a = rng.integers(0, card_a, 300)
+        b = rng.integers(0, card_b, 300).astype(np.int32)
+        # densify a: _pair_ids expects every id below card_a to occur
+        _, a = np.unique(a, return_inverse=True)
+        card_a = int(a.max()) + 1
+        _, b = np.unique(b, return_inverse=True)
+        card_b = int(b.max()) + 1
+        free_ids, free_count = metrics._pair_ids(a, card_a, b, card_b, card_a * card_b)
+        sort_ids, sort_count = metrics._pair_ids(a, card_a, b, card_b, 0)
+        assert free_count == sort_count == len(set(zip(a.tolist(), b.tolist())))
+        assert np.array_equal(free_ids, sort_ids)
 
 
 # -- secondary QIs -----------------------------------------------------------

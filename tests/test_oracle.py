@@ -70,3 +70,37 @@ def test_corrupted_class_count_is_caught(demo_table, monkeypatch):
     monkeypatch.setattr(metrics, "equivalence_class_count", lambda table, subset: 99)
     divergence = first_divergence(demo_table)
     assert divergence == Divergence("class_count", None, 99, 4)
+
+
+def test_corrupted_leave_one_out_is_caught_by_score_columns_check(demo_table, monkeypatch):
+    # the single-column helpers do not use the recursion, so only the
+    # check of score_columns can see this
+    import qi_sentry.metrics as metrics
+
+    real = metrics._leave_one_out
+    monkeypatch.setattr(
+        metrics, "_leave_one_out",
+        lambda *args: (lambda counts, full: (counts[::-1], full))(*real(*args)),
+    )
+    divergence = first_divergence(demo_table)
+    assert divergence is not None
+    assert divergence.metric == "score_columns[universe=all].influence"
+
+
+def test_qi_universe_is_under_the_gate(demo_table, monkeypatch):
+    import dataclasses
+
+    import qi_sentry.metrics as metrics
+
+    real = metrics.score_columns
+
+    def off_under_qi(classified, policy=metrics.UniversePolicy.ALL_COLUMNS, max_workers=None):
+        scores = real(classified, policy)
+        if policy is metrics.UniversePolicy.PRIMARY_QIS_ONLY:
+            scores = [dataclasses.replace(s, influence=s.influence + 0.125) for s in scores]
+        return scores
+
+    monkeypatch.setattr(metrics, "score_columns", off_under_qi)
+    divergence = first_divergence(demo_table)
+    assert divergence is not None
+    assert divergence.metric == "score_columns[universe=qi].influence"

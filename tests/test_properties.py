@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +97,31 @@ def test_score_columns_matches_oracle(table, data):
         ]
         assert score_columns(classified, policy) == expected
         assert score_columns(classified, policy, max_workers=4) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables(max_rows=12, max_cols=4), st.sampled_from(list(UniversePolicy)), st.data())
+def test_selection_matches_fraction_selection(table, policy, data):
+    # the expected set comes from oracle counts in Fraction arithmetic;
+    # a threshold equal to an exact score (1/3 + 1/6 = 0.5) is where a
+    # float sum (0.49999999999999994) falls short; a threshold is taken as
+    # the decimal it prints as, so a score of 1/5 reaches 0.2
+    names = list(table.column_names)
+    classified = classify(table, ClassificationRules(default_class=ColumnClass.QI))
+    n = table.row_count
+    full = oracle_equivalence_class_count(table, names)
+    exact = {}
+    for name in names:
+        singles = sum(1 for c in Counter(table.column_values(name)).values() if c == 1)
+        without = oracle_equivalence_class_count(table, set(names) - {name})
+        exact[name] = Fraction(singles, n) + 1 - Fraction(without, full)
+    threshold = data.draw(
+        st.one_of(st.sampled_from(sorted({float(v) for v in exact.values()})),
+                  st.sampled_from([0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9]),
+                  st.floats(0, 2, allow_nan=False))
+    )
+    expected = {name for name, value in exact.items() if value >= Fraction(repr(threshold))}
+    assert select_final_qis(score_columns(classified, policy), threshold) == expected
 
 
 # -- equivalence class counting ------------------------------------------------

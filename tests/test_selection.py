@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from qi_sentry import ClassificationRules, ColumnClass, Table
+
 from qi_sentry import (
     RiskScore,
     UserGrade,
@@ -85,6 +87,34 @@ def test_threshold_range_validated():
 def test_selection_is_inclusive_at_the_boundary():
     scores = [RiskScore.of("a", 0.25, 0.0)]
     assert select_final_qis(scores, 0.25) == {"a"}
+
+
+def test_hand_built_scores_reach_the_decimal_they_equal():
+    # 0.3 and 0.7 + 0.1 are binary values below 3/10 and 8/10; a score
+    # built from floats orders against the threshold as the floats do
+    scores = [RiskScore.of("a", 0.3, 0.0), RiskScore.of("b", 0.7, 0.1)]
+    assert select_final_qis(scores, 0.3) == {"a", "b"}
+    assert select_final_qis(scores, 0.8) == set()
+    assert select_final_qis(scores, 0.7999999999999999) == {"b"}
+
+
+def test_exact_half_score_is_selected_at_half():
+    # A scores 2/6 + (1 - 5/6) = 1/2 exactly, but the float sum is
+    # 0.49999999999999994; the counts decide, so 0.5 selects it
+    table = Table.from_rows(
+        "t", ["A", "B"], list(zip("xxyypq", ["1", "2", "3", "4", "5", "5"]))
+    )
+    classified = classify(table, ClassificationRules(default_class=ColumnClass.QI))
+    scores = score_columns(classified)
+    a = scores[0]
+    assert a.sum < 0.5
+    assert a.counts is not None and a.counts.exact_sum() == 0.5
+    assert scores[1].counts.exact_sum() == 1  # B: 4/6 + (1 - 4/6)
+    assert select_final_qis(scores, 0.5) == {"A", "B"}
+    assert select_final_qis(scores, threshold_for(UserGrade.MIDDLE)) == {"A", "B"}
+    report = build_report(classified, scores, requestor_with_grade(UserGrade.MIDDLE))
+    assert report.final_qis == {"A", "B"}
+    assert "A       QI     0.3333      0.1667     0.5000  yes" in report_to_text(report)
 
 
 def test_selection_reference_examples():

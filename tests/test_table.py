@@ -72,6 +72,25 @@ def test_oversized_header_field_is_record_1():
     assert exc.value.row == 1
 
 
+def test_unterminated_quote_is_an_ingest_error():
+    # a lenient parser would read one row whose b cell is the rest of the file
+    with pytest.raises(IngestError) as exc:
+        ingest_delimited(b'a,b\n1,"x\n2,3\n4,5\n')
+    assert exc.value.row == 2
+    assert "unexpected end of data" in str(exc.value)
+
+
+def test_text_after_a_closing_quote_is_an_ingest_error():
+    with pytest.raises(IngestError) as exc:
+        ingest_delimited(b'a,b\n1,2\n1,"x"y\n')
+    assert exc.value.row == 3
+
+
+def test_quotes_inside_an_unquoted_field_are_kept():
+    table = ingest_delimited(b'a,b\n1,x"y\n2,"q""r"\n')
+    assert table.cells[1] == ('x"y', 'q"r')
+
+
 def test_ingest_leaves_the_callers_stream_open():
     stream = io.BytesIO(DEMO_CSV)
     ingest_delimited(stream)
