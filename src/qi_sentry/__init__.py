@@ -55,7 +55,7 @@ from .selection import (
     select_final_qis,
     threshold_for,
 )
-from .table import CellValue, ColumnMeta, IngestOptions, Table, column_values, ingest_delimited
+from .table import CellValue, ColumnMeta, IngestOptions, Table, ingest_delimited
 
 __all__ = [
     "AssessmentForm",
@@ -88,7 +88,6 @@ __all__ = [
     "build_report",
     "classification_census",
     "classify",
-    "column_values",
     "default_rules",
     "equivalence_class_count",
     "generate_table",

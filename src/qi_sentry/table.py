@@ -12,6 +12,19 @@ listed value occurs at least once, so a column's cardinality is the
 length of its value tuple. The metrics read only the codes. ``cells``
 and the row accessors decode them into Python strings on first use.
 
+Ingest reads the bytes in blocks of about 1 MiB, each cut after its
+last newline. A block with no quote, CR or NUL byte, a one-byte ASCII
+delimiter, the same number of fields on every line, no field over the
+csv field limit and valid UTF-8 is tokenized with numpy: each field
+becomes a zero-padded key and each column of the block is factorized
+with ``np.unique``, unless one column's keys would take more than
+``_KEY_BYTES``. The first block that breaks any of these rules, and
+everything after it, goes through ``csv.reader``, which is the only
+parser that reads quoted fields or CR line endings and the one place
+that reports malformed records. Both feed the same per-column merge, so
+canonicalizing a value and merging equal canonical values happen once
+per distinct raw value.
+
 Cell comparison everywhere downstream is exact, case-sensitive string
 equality: ``"72"`` and ``"72.0"`` are different symbols on purpose.
 """
@@ -22,10 +35,11 @@ import csv
 import io
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import count, islice
+from itertools import chain, count, islice
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import IngestError, NoSuchColumn
 
@@ -43,6 +57,22 @@ _ASCII_WS = " \t\r\n\x0b\x0c"
 # 65536 records made csv parsing plus the column transpose about twice
 # as slow as chunks of 4096 on 300k- and 700k-row files.
 _CHUNK_RECORDS = 4096
+
+# Bytes read per block of ingest. On the same machine, a select of a
+# 700k-row, 23 MB file peaked at 105, 108, 123 and 199 MB RSS with blocks
+# of 256 KiB, 1 MiB, 4 MiB and 16 MiB, in about the same time.
+_BLOCK_BYTES = 1 << 20
+
+# The most bytes of padded keys one column of a block may take in the
+# numpy tokenizer: (records in the block) x (its longest field, at least
+# 8). A block over it goes to csv.reader, so memory stays bounded when a
+# few long fields sit among many short records.
+_KEY_BYTES = 8 << 20
+
+_BOM = b"\xef\xbb\xbf"
+
+# _LOW_BYTES[k] keeps the first k bytes of a little-endian uint64 key
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype="<u8")
 
 
 def canonicalize(raw: str) -> CellValue:
@@ -198,9 +228,6 @@ class Table:
     def column_names(self) -> tuple[str, ...]:
         return tuple(meta.name for meta in self.columns)
 
-    def has_column(self, column_name: str) -> bool:
-        return column_name.lower() in self._index
-
     def position_of(self, column_name: str) -> int:
         """Resolve a column position; names compare case-insensitively."""
         try:
@@ -244,11 +271,6 @@ class Table:
         return out.getvalue()
 
 
-def column_values(table: Table, column_name: str) -> tuple[CellValue, ...]:
-    """Module-level alias for :meth:`Table.column_values`."""
-    return table.column_values(column_name)
-
-
 def _decode(values: Sequence[object], codes: np.ndarray) -> list:
     """``[values[c] for c in codes]``, with one numpy take."""
     return np.array(values, dtype=object)[codes].tolist()
@@ -274,10 +296,12 @@ def _canonical_cell(value: CellValue) -> CellValue:
 def _densify(
     first_rows: dict, codes: np.ndarray, canonical: Callable[[object], CellValue]
 ) -> tuple[tuple[CellValue, ...], np.ndarray]:
-    """Distinct canonical values and dense codes, from first-row codes.
+    """Distinct canonical values and dense codes, from row codes.
 
-    Each distinct raw value is canonicalized once; raw values with the
-    same canonical form share one code.
+    ``first_rows`` maps each distinct raw value to one row where it
+    occurs, and ``codes`` holds that row for every cell. Each distinct
+    raw value is canonicalized once; raw values with the same canonical
+    form share one code.
     """
     ids: dict[CellValue, int] = {}
     dense = np.fromiter(
@@ -315,76 +339,257 @@ def _header_names(header: list[str]) -> list[str]:
     return names
 
 
+class _Columns:
+    """Row codes of every column, merged across the records parsed so far.
+
+    ``first_rows[j]`` maps each distinct raw string of column j to one
+    row where it occurs, and ``parts[j]`` holds that row for every cell,
+    block by block. Both parsers add to it.
+    """
+
+    def __init__(self, names: list[str], first_record: int):
+        self.names = names
+        self.first_rows: list[dict[str, int]] = [{} for _ in names]
+        self.parts: list[list[np.ndarray]] = [[np.empty(0, dtype=np.int32)] for _ in names]
+        self.rows = 0
+        self.first_record = first_record  # 1-based number of the record holding row 0
+
+    @property
+    def next_record(self) -> int:
+        return self.first_record + self.rows
+
+    def take(self, records: Iterator[list[str]]) -> list[list[str]]:
+        """The next chunk of records, ending on a multiple of ``_CHUNK_RECORDS`` rows.
+
+        Chunks end where they would if csv.reader had parsed from the
+        first record, so an input with several faults reports the same one.
+        """
+        return _take(records, _CHUNK_RECORDS - self.rows % _CHUNK_RECORDS, self.next_record)
+
+    def add_records(self, chunk: list[list[str]]) -> None:
+        width = len(self.names)
+        if set(map(len, chunk)) != {width}:
+            bad = next(i for i, record in enumerate(chunk) if len(record) != width)
+            raise IngestError(
+                f"ragged row: {len(chunk[bad])} fields, expected {width}",
+                row=self.next_record + bad,
+            )
+        for seen, part, cells in zip(self.first_rows, self.parts, zip(*chunk)):
+            part.append(_first_row_codes(seen, cells, self.rows))
+        self.rows += len(chunk)
+
+    def add_fields(self, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> None:
+        """Add the records whose fields start at ``starts`` in ``buf`` (columns x records)."""
+        rows = np.arange(self.rows, self.rows + starts.shape[1])
+        for seen, part, column_starts, column_lengths in zip(
+            self.first_rows, self.parts, starts, lengths
+        ):
+            keys = _field_keys(buf, column_starts, column_lengths)
+            distinct, inverse = np.unique(keys, return_inverse=True)
+            # any row holding a key identifies it: no other key shares that row
+            row_of = np.empty(len(distinct), dtype=np.int64)
+            row_of[inverse] = rows
+            raw = distinct.view("S8") if distinct.dtype.kind == "u" else distinct
+            # fields hold no newline, and a block's fields are valid UTF-8
+            text = b"\n".join(raw.tolist()).decode("utf-8").split("\n")
+            part.append(
+                np.fromiter(
+                    map(seen.setdefault, text, row_of.tolist()), dtype=np.int32, count=len(text)
+                )[inverse]
+            )
+        self.rows += starts.shape[1]
+
+    def table(self, opts: IngestOptions) -> Table:
+        def canonical(raw: str) -> CellValue:
+            value = canonicalize(raw)
+            return None if value == opts.na_token else value
+
+        return Table.from_codes(
+            opts.table_name,
+            [
+                (name, *_densify(seen, np.concatenate(part), canonical))
+                for name, seen, part in zip(self.names, self.first_rows, self.parts)
+            ],
+        )
+
+
+def _blocks(stream: IO[bytes]) -> Iterator[bytes]:
+    """The stream in blocks of about ``_BLOCK_BYTES``, each cut after its last newline.
+
+    Only the last block may lack a final newline.
+    """
+    pending: list[bytes] = []
+    while data := stream.read(_BLOCK_BYTES):
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*pending, data[:cut]])
+            pending = []
+        pending.append(data[cut:])
+    if tail := b"".join(pending):
+        yield tail
+
+
+class _Joined(io.RawIOBase):
+    """A readable raw stream over an iterator of byte strings."""
+
+    def __init__(self, pieces: Iterator[bytes]):
+        self._pieces = pieces
+        self._left = memoryview(b"")
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        while not self._left:
+            piece = next(self._pieces, None)
+            if piece is None:
+                return 0
+            self._left = memoryview(piece)
+        n = min(len(buffer), len(self._left))
+        buffer[:n] = self._left[:n]
+        self._left = self._left[n:]
+        return n
+
+
+def _tokenize(
+    block: bytes, delimiter: int, width: int | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Split a block into fields with numpy, or None if csv.reader must parse it.
+
+    Returns the block's bytes (zero-padded at the end) and the start and
+    length of every field, both shaped (width, records). ``width`` is the
+    number of columns, or None to take it from the first line. Returns
+    None when the block holds a quote, CR or NUL byte or invalid UTF-8,
+    when a line has a different number of fields (a blank line included),
+    when a field is longer than the csv field limit, or when one
+    column's padded keys would take more than ``_KEY_BYTES``.
+    """
+    if b'"' in block or b"\r" in block or b"\0" in block:
+        return None
+    if not block.isascii():
+        try:
+            block.decode("utf-8")  # a newline never falls inside a UTF-8 character
+        except UnicodeDecodeError:
+            return None
+    if not block.endswith(b"\n"):
+        block += b"\n"  # the last line of an input without a final newline
+    data = np.frombuffer(block, dtype=np.uint8)
+    seps = np.flatnonzero((data == delimiter) | (data == 10)).astype(np.int32)
+    ends = data[seps] == 10
+    if width is None:
+        width = int(ends.argmax()) + 1
+    if len(seps) % width:
+        return None
+    ends = ends.reshape(-1, width)
+    if not ends[:, -1].all() or ends[:, :-1].any():
+        return None
+    starts = np.empty_like(seps)
+    starts[0] = 0
+    starts[1:] = seps[:-1] + 1
+    lengths = seps - starts
+    longest = int(lengths.max())
+    if longest > csv.field_size_limit() or (width == 1 and not lengths.all()):
+        return None
+    if len(ends) * max(8, longest) > _KEY_BYTES:
+        return None
+    buf = np.zeros(len(data) + max(8, longest), dtype=np.uint8)
+    buf[: len(data)] = data
+    # one contiguous row per column, for the per-column gathers
+    return buf, starts.reshape(-1, width).T.copy(), lengths.reshape(-1, width).T.copy()
+
+
+def _field_keys(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """One key per field, its bytes zero-padded: uint64 up to 8 bytes, ``S{w}`` above."""
+    width = int(lengths.max(initial=0))
+    if width <= 8:
+        # element i holds the 8 bytes from buf[i] on, little-endian, so keys keep byte order
+        eights = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
+        return eights[starts] & _LOW_BYTES[lengths]
+    keys = sliding_window_view(buf, width)[starts]
+    keys[np.arange(width) >= lengths[:, None]] = 0
+    return keys.view(f"S{width}").ravel()
+
+
 def ingest_delimited(source: bytes | IO[bytes], options: IngestOptions | None = None) -> Table:
     """Parse RFC-4180-style delimited text into a :class:`Table`.
 
     ``source`` is a byte string or binary stream; UTF-8 only, with a BOM
     stripped if present. Empty fields and the sentinel become missing.
-    The stream is decoded and parsed in chunks of records, and each
-    column is factorized as it is read, so no cell is kept as its own
-    string.
+    The stream is read in blocks of about 1 MiB, each cut after a
+    newline, and each column is factorized as it is read, so no cell is
+    kept as its own string. Blocks free of quote, CR and NUL bytes are
+    split into fields with numpy, as long as every line has the same
+    number of fields, no field is longer than the csv field limit and
+    the bytes are valid UTF-8 (and as long as its padded keys fit in
+    ``_KEY_BYTES``). The first block that is not, and all that follow
+    it, are parsed by a strict ``csv.reader``.
 
-    Raises :class:`IngestError` for undecodable bytes, zero columns,
-    duplicate or empty header names, records the strict csv parser
-    rejects (a field over its size limit, a quote left open at the end
-    of the input, text after a closing quote) and ragged rows (``row``
-    carries the 1-based record number, counting the header as record 1).
+    Raises :class:`IngestError` for a delimiter that is not one
+    character or is a quote or line break, undecodable bytes, zero
+    columns, duplicate or empty header names, records the strict csv
+    parser rejects (a field over its size limit, a quote left open at
+    the end of the input, text after a closing quote) and ragged rows
+    (``row`` carries the 1-based record number, counting the header as
+    record 1).
     """
     opts = options or IngestOptions()
     if len(opts.delimiter) != 1:
         raise IngestError(f"delimiter must be a single character, got {opts.delimiter!r}")
+    if opts.delimiter in '"\r\n':
+        raise IngestError(f"delimiter cannot be a quote or a line break, got {opts.delimiter!r}")
 
     stream = io.BytesIO(source) if isinstance(source, bytes) else source
-    text = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
-    try:
-        return _ingest_records(csv.reader(text, delimiter=opts.delimiter, strict=True), opts)
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"input is not valid UTF-8: {exc}") from None
-    finally:
-        text.detach()  # leaves the caller's stream open
+    blocks = _blocks(stream)
+    blocks = chain([next(blocks, b"").removeprefix(_BOM)], blocks)
+    columns: _Columns | None = None
+    block = b""
+    if opts.delimiter.isascii():
+        for block in blocks:
+            width = None if columns is None else len(columns.names)
+            fields = _tokenize(block, ord(opts.delimiter), width)
+            if fields is None:
+                break
+            buf, starts, lengths = fields
+            if columns is None:
+                if opts.has_header:
+                    header = block.partition(b"\n")[0].decode("utf-8")
+                    columns = _Columns(_header_names(header.split(opts.delimiter)), 2)
+                    starts, lengths = starts[:, 1:], lengths[:, 1:]
+                else:
+                    columns = _Columns([f"col_{j}" for j in range(len(starts))], 1)
+            if starts.shape[1]:
+                columns.add_fields(buf, starts, lengths)
+        else:
+            block = b""
+
+    rest = io.BufferedReader(_Joined(chain([block], blocks)))
+    with io.TextIOWrapper(rest, encoding="utf-8", newline="") as text:
+        try:
+            records = csv.reader(text, delimiter=opts.delimiter, strict=True)
+            return _ingest_records(records, opts, columns)
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"input is not valid UTF-8: {exc}") from None
 
 
-def _ingest_records(records: Iterator[list[str]], opts: IngestOptions) -> Table:
-    number = 1  # 1-based number of the next record to read
-    if opts.has_header:
-        header = _take(records, 1, number)
+def _ingest_records(
+    records: Iterator[list[str]], opts: IngestOptions, columns: _Columns | None
+) -> Table:
+    """Add ``records`` to ``columns``, or to new ones when no record has been read yet."""
+    if columns is None and opts.has_header:
+        header = _take(records, 1, 1)
         if not header or not header[0]:
             raise IngestError("no columns: input is empty")
-        names = _header_names(header[0])
-        number = 2
-
-    chunk = _take(records, _CHUNK_RECORDS, number)
-    if not opts.has_header:
+        columns = _Columns(_header_names(header[0]), 2)
+    if columns is None:
+        chunk = _take(records, _CHUNK_RECORDS, 1)
         if not chunk:
             raise IngestError("no columns: input is empty")
         if not chunk[0]:
             raise IngestError("no columns: first record is empty", row=1)
-        names = [f"col_{j}" for j in range(len(chunk[0]))]
-
-    width = len(names)
-    first_rows: list[dict[str, int]] = [{} for _ in names]
-    parts: list[list[np.ndarray]] = [[np.empty(0, dtype=np.int32)] for _ in names]
-    rows = 0
+        columns = _Columns([f"col_{j}" for j in range(len(chunk[0]))], 1)
+    else:
+        chunk = columns.take(records)
     while chunk:
-        if set(map(len, chunk)) != {width}:
-            bad = next(i for i, record in enumerate(chunk) if len(record) != width)
-            raise IngestError(
-                f"ragged row: {len(chunk[bad])} fields, expected {width}", row=number + bad
-            )
-        for seen, part, cells in zip(first_rows, parts, zip(*chunk)):
-            part.append(_first_row_codes(seen, cells, rows))
-        rows += len(chunk)
-        number += len(chunk)
-        chunk = _take(records, _CHUNK_RECORDS, number)
-
-    def canonical(raw: str) -> CellValue:
-        value = canonicalize(raw)
-        return None if value == opts.na_token else value
-
-    return Table.from_codes(
-        opts.table_name,
-        [
-            (name, *_densify(seen, np.concatenate(part), canonical))
-            for name, seen, part in zip(names, first_rows, parts)
-        ],
-    )
+        columns.add_records(chunk)
+        chunk = columns.take(records)
+    return columns.table(opts)

@@ -178,6 +178,16 @@ def test_oversized_field_is_one_error_line_and_exit_2(workspace, capsys, command
     assert err == "error: malformed record: field larger than field limit (131072) (record 7)\n"
 
 
+@pytest.mark.parametrize("delimiter", ['"', "\r", "\n"])
+def test_quote_or_line_break_delimiter_is_one_error_line_and_exit_2(workspace, capsys, delimiter):
+    path = workspace / "cr.csv"
+    path.write_bytes(b"a\rb\r\n1\r2\r\n")
+    code, out, err = run(capsys, "score", "--input", str(path), "--delimiter", delimiter)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: delimiter cannot be a quote or a line break, got {delimiter!r}\n"
+
+
 @pytest.mark.parametrize("command", ["score", "select"])
 @pytest.mark.parametrize("tail", ['45,"64,F,47853\n45,21,F,47853\n', '45,"64"x,F,47853\n'])
 def test_malformed_quote_is_one_error_line_and_exit_2(workspace, capsys, command, tail):

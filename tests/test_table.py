@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import random
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 import qi_sentry.table as table_module
 from qi_sentry import IngestError, IngestOptions, NoSuchColumn, Table, ingest_delimited
-from qi_sentry.table import canonicalize, column_values
+from qi_sentry.cli import main
+from qi_sentry.table import canonicalize
 
 DEMO_CSV = b"""Weight,Age,Gender,Zipcode
 72,45,M,75145
@@ -164,7 +166,7 @@ def test_column_values_unknown_column(demo_table):
 
 def test_column_values_is_case_insensitive(demo_table):
     assert demo_table.column_values("gender") == ("M", "M", "M", "F", "F")
-    assert column_values(demo_table, "GENDER")[0] == "M"
+    assert demo_table.column_values("GENDER")[0] == "M"
 
 
 def test_column_values_on_empty_table():
@@ -268,7 +270,8 @@ def reference_ingest(data: bytes, opts: IngestOptions) -> tuple[tuple[str, ...],
 
     one canonicalized string per cell from a plain csv.reader loop.
     """
-    records = csv.reader(io.StringIO(data.decode("utf-8-sig")), delimiter=opts.delimiter)
+    text = io.StringIO(data.decode("utf-8-sig"), newline="")  # as csv asks files be opened
+    records = csv.reader(text, delimiter=opts.delimiter)
     if opts.has_header:
         names = [cell.strip(" \t\r\n\x0b\x0c") for cell in next(records)]
         cols: list[list] = [[] for _ in names]
@@ -295,9 +298,13 @@ CELL_TEXT = st.one_of(
 )
 
 
-def to_bytes(header, rows, delimiter: str, bom: bool) -> bytes:
+def to_bytes(header, rows, delimiter: str, bom: bool, lineterminator: str = "\r\n") -> bytes:
     out = io.StringIO()
-    writer = csv.writer(out, delimiter=delimiter)  # "\r\n" endings quote both \r and \n
+    # "\r\n" endings quote both \r and \n; "\n" endings quote only \n, so
+    # under them a bare \r in a cell is written as \n
+    if lineterminator == "\n":
+        rows = [[cell.replace("\r", "\n") for cell in row] for row in rows]
+    writer = csv.writer(out, delimiter=delimiter, lineterminator=lineterminator)
     if header is not None:
         writer.writerow(header)
     writer.writerows(rows)
@@ -317,7 +324,8 @@ def delimited_inputs(draw):
         table_name="t",
         na_token=draw(st.sampled_from(["NA", "null"])),
     )
-    data = to_bytes(header if has_header else None, rows, opts.delimiter, draw(st.booleans()))
+    data = to_bytes(header if has_header else None, rows, opts.delimiter, draw(st.booleans()),
+                    draw(st.sampled_from(["\r\n", "\n"])))
     return data, opts
 
 
@@ -334,11 +342,16 @@ def assert_matches_reference(data: bytes, opts: IngestOptions) -> None:
 
 
 @settings(max_examples=400, deadline=None)
-@given(delimited_inputs(), st.integers(1, 5))
-def test_ingest_matches_reference_parser(case, chunk):
+@given(delimited_inputs(), st.integers(1, 5), st.integers(1, 24),
+       st.sampled_from([32, table_module._KEY_BYTES]))
+def test_ingest_matches_reference_parser(case, chunk, block, key_bytes):
     data, opts = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(table_module, "_CHUNK_RECORDS", chunk)  # many chunks per input
+        # many blocks per input, so numpy takes the quote-free ones until a quote
+        # or a padded-key budget (a small one here) sends the rest to csv.reader
+        patch.setattr(table_module, "_BLOCK_BYTES", block)
+        patch.setattr(table_module, "_KEY_BYTES", key_bytes)
         assert_matches_reference(data, opts)
 
 
@@ -348,3 +361,172 @@ def test_ingest_matches_reference_parser_beyond_one_chunk():
     for has_header in (True, False):
         data = to_bytes(["a", "b", "c"] if has_header else None, rows, ",", bom=True)
         assert_matches_reference(data, IngestOptions(has_header=has_header, table_name="t"))
+
+
+# -- the numpy tokenizer and its hand-over to csv.reader ----------------------
+
+@pytest.fixture
+def tokenized(monkeypatch):
+    """One entry per block offered to the numpy tokenizer: True if it split it."""
+    outcomes: list[bool] = []
+    tokenize = table_module._tokenize
+
+    def spy(*args):
+        fields = tokenize(*args)
+        outcomes.append(fields is not None)
+        return fields
+
+    monkeypatch.setattr(table_module, "_tokenize", spy)
+    return outcomes
+
+
+def test_ingest_matches_reference_parser_over_many_numpy_blocks(monkeypatch, tokenized):
+    monkeypatch.setattr(table_module, "_BLOCK_BYTES", 4096)
+    rng = random.Random(8209)
+    plain = [cell for cell in TRICKY if not set(cell) & set(',"\r\n')]
+    rows = [[rng.choice(plain) for _ in range(3)] for _ in range(2 * 4096 + 17)]
+    rows[-5][1] = "x,y"  # quoted: the last block goes to csv.reader mid-chunk
+    data = to_bytes(["a", "b", "c"], rows, ",", bom=True, lineterminator="\n")
+    assert_matches_reference(data, IngestOptions(table_name="t"))
+    assert len(tokenized) > 10 and all(tokenized[:-1]) and not tokenized[-1]
+
+
+PLAIN_LINES = [b"%d,x%d,y\n" % (i, i % 3) for i in range(40)]
+
+
+@pytest.mark.parametrize("block", [1 << 20, 64])
+@pytest.mark.parametrize("fault, record, message", [
+    (b"1,2\n", 32, "ragged row: 2 fields, expected 3"),
+    (b"\n", 32, "ragged row: 0 fields, expected 3"),
+    (b"1,2," + b"x" * 200_000 + b"\n", 32, "field larger than field limit"),
+    (b"1,\xff\xfe,3\n", None, "not valid UTF-8"),
+])
+def test_fault_in_a_quote_free_block_is_reported_by_csv_reader(
+    monkeypatch, tokenized, block, fault, record, message
+):
+    monkeypatch.setattr(table_module, "_BLOCK_BYTES", block)
+    data = b"a,b,c\n" + b"".join(PLAIN_LINES[:30]) + fault + b"".join(PLAIN_LINES[30:])
+    with pytest.raises(IngestError) as exc:
+        ingest_delimited(data)
+    assert exc.value.row == record
+    assert message in str(exc.value)
+    # in 64-byte blocks the fault is in a later block, after numpy split the first ones
+    assert tokenized[-1] is False
+    assert any(tokenized) == (block == 64)
+
+
+def test_quote_in_a_later_block_hands_the_rest_to_csv_reader(monkeypatch, tokenized):
+    monkeypatch.setattr(table_module, "_BLOCK_BYTES", 64)
+    data = b"a,b\n" + b"1,x\n" * 40 + b'2,"y,\n z"\n' + b"3,x\n" * 40
+    table = ingest_delimited(data)
+    assert table.column_values("b") == ("x",) * 40 + ("y,\n z",) + ("x",) * 40
+    assert tokenized[0] and tokenized[-1] is False
+
+
+def test_csv_reader_taking_over_mid_chunk_reports_the_same_fault_first(monkeypatch, tokenized):
+    # rows 0-4 take the numpy path in one-line blocks; csv.reader starts at row 5, and
+    # its chunks still end where a csv-only parse ends them (rows 4-7, 8-11), so the
+    # ragged row 6 is found before the oversized field in row 8
+    monkeypatch.setattr(table_module, "_CHUNK_RECORDS", 4)
+    data = (b"a,b\n" + b"1,2\n" * 5 + b'"q",2\n' + b"1\n" + b"1,2\n"
+            + b"1," + b"x" * 200_000 + b"\n")
+    faults = []
+    for block in (1 << 20, 1):
+        monkeypatch.setattr(table_module, "_BLOCK_BYTES", block)
+        with pytest.raises(IngestError) as exc:
+            ingest_delimited(data)
+        faults.append(str(exc.value))
+    assert faults == ["ragged row: 1 fields, expected 2 (record 8)"] * 2
+    assert tokenized == [False] + [True] * 6 + [False]
+
+
+@pytest.mark.parametrize("data", [b"a,b\n1,2\n3,4", b"a,b\n", b"a,b", b"a\n1\n\xc3\xa9"])
+def test_numpy_path_without_a_final_newline_or_rows(tokenized, data):
+    assert_matches_reference(data, IngestOptions(table_name="t"))
+    assert tokenized and all(tokenized)
+
+
+def test_numpy_keys_of_up_to_8_bytes_and_longer():
+    # column a stays within 8 bytes (uint64 keys), column b goes past (S{w} keys)
+    rows = [("abcdefgh", "abcdefghi"), ("abcdefg", "abcdefgh"), ("é" * 4, "é" * 5),
+            ("abcdefgh", "x" * 40), ("a", "abcdefghi"), ("", "")]
+    data = "a,b\n" + "".join(f"{a},{b}\n" for a, b in rows)
+    table = ingest_delimited(data.encode())
+    assert table.column_values("a") == tuple(a or None for a, _ in rows)
+    assert table.column_values("b") == tuple(b or None for _, b in rows)
+    assert [len(values) for values in table.values] == [5, 5]
+
+
+def test_long_field_among_many_records_goes_to_csv_reader(tokenized):
+    # 102 records x a 100000-byte widest field: over _KEY_BYTES of padded keys
+    data = b"v\n" + b"x" * 100_000 + b"\n" + b"a\n" * 100
+    table = ingest_delimited(data)
+    assert table.column_values("v") == ("x" * 100_000,) + ("a",) * 100
+    assert tokenized == [False]
+    assert table_module._tokenize(data[:-60], ord(","), None) is not None  # 72 records fit
+
+
+@pytest.mark.parametrize("block", [1 << 20, 8])
+def test_padded_spellings_merge_into_one_value_on_the_numpy_path(monkeypatch, tokenized, block):
+    monkeypatch.setattr(table_module, "_BLOCK_BYTES", block)
+    table = ingest_delimited(b"v,w\na,1\n a,2\na\t,3\n NA ,4\n,5\na,6\n")
+    assert table.column_values("v") == ("a", "a", "a", None, None, "a")
+    assert len(table.values[0]) == 2 and set(table.values[0]) == {"a", None}
+    assert all(tokenized)
+
+
+@pytest.mark.parametrize("delimiter", ['"', "\r", "\n"])
+def test_quote_and_line_break_delimiters_rejected(delimiter):
+    with pytest.raises(IngestError) as exc:
+        ingest_delimited(b"a\rb\r\n1\r2\r\n", IngestOptions(delimiter=delimiter))
+    assert exc.value.row is None
+    assert "delimiter" in str(exc.value)
+
+
+# -- fuzz gate: arbitrary bytes ingest as the reference does, or fail cleanly --
+
+FUZZ_PIECES = [b'"', b"\r", b"\n", b"\0", b",", b"\t", b" ", b"\xff", b"\xc3", b"\xef\xbb\xbf", b""]
+
+
+@st.composite
+def fuzzed_inputs(draw):
+    if draw(st.booleans()):
+        opts = IngestOptions(delimiter=draw(st.sampled_from([",", "\t", ";"])),
+                             has_header=draw(st.booleans()), table_name="t")
+        return draw(st.binary(max_size=120)), opts
+    data, opts = draw(delimited_inputs())
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        data[at:at + draw(st.integers(0, 2))] = draw(st.sampled_from(FUZZ_PIECES))
+    return bytes(data), opts
+
+
+@settings(max_examples=400, deadline=None)
+@given(fuzzed_inputs(), st.integers(1, 32))
+def test_arbitrary_bytes_ingest_as_the_reference_or_raise_ingest_error(case, block):
+    data, opts = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(table_module, "_BLOCK_BYTES", block)
+        try:
+            table = ingest_delimited(data, opts)
+        except IngestError:
+            return
+    names, cells = reference_ingest(data, opts)
+    assert table.column_names == names
+    assert table.cells == cells
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzzed_inputs())
+def test_score_on_arbitrary_bytes_exits_0_or_2_with_one_error_line(tmp_path_factory, case):
+    data, opts = case
+    path = tmp_path_factory.mktemp("fuzz") / "input.csv"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["score", "--input", str(path), "--delimiter", opts.delimiter])
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
