@@ -37,7 +37,6 @@ from .errors import (
 )
 from .generate import ColumnSpec, SyntheticSpec, generate_table, rules_for_spec
 from .metrics import (
-    EquivalenceCount,
     GroupingEngine,
     RiskScore,
     UniversePolicy,
@@ -65,7 +64,6 @@ __all__ = [
     "ColumnClass",
     "ColumnMeta",
     "ColumnSpec",
-    "EquivalenceCount",
     "GroupingEngine",
     "IngestError",
     "IngestOptions",

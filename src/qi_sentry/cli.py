@@ -1,9 +1,12 @@
 """Command-line front end: ingest -> classify -> score -> assess -> select.
 
 Each pipeline stage is its own subcommand so stages can be run (and
-tested) independently; ``select`` chains them all. Exit codes: 0 on
-success, 1 when the oracle harness finds a divergence, 2 on any
-input or configuration error.
+tested) independently; ``select`` chains them all. A subcommand builds
+its result three ways, as a JSON document, as TSV header and rows and
+as text lines, and :func:`_emit` writes the one ``--format`` names. This
+module is the only one that renders: the library returns scores and
+reports. Exit codes: 0 on success, 1 when the oracle harness finds a
+divergence, 2 on any input or configuration error.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Sequence
 
 from . import assessment, classifier, generate, metrics, oracle, selection
 from .errors import QiSentryError
@@ -40,80 +44,85 @@ def _load_rules(args) -> classifier.ClassificationRules:
     return classifier.default_rules()
 
 
-def _universe_policy(args) -> metrics.UniversePolicy:
-    return metrics.UniversePolicy(args.universe)
+def _num(value: float | None) -> str:
+    return "" if value is None else f"{value:.4f}"
+
+
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _aligned(rows: list[Sequence[str] | None]) -> list[str]:
+    """Left-aligned columns two spaces apart; a ``None`` row is the dash rule."""
+    widths = [max(map(len, column)) for column in zip(*filter(None, rows))]
+    return [
+        "  ".join("-" * w for w in widths) if row is None
+        else "  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip()
+        for row in rows
+    ]
+
+
+def _emit(fmt: str, doc: object, header: list[str], rows: list[list[str]], text: list[str]) -> None:
+    """Write one rendering: ``doc`` as JSON, header and rows as TSV, or the text lines."""
+    if fmt == "json":
+        out = json.dumps(doc, indent=2) + "\n"
+    elif fmt == "tsv":
+        out = "".join("\t".join(row) + "\n" for row in [header, *rows])
+    else:
+        out = "".join(line + "\n" for line in text)
+    sys.stdout.write(out)
 
 
 def cmd_classify(args) -> int:
     table = _load_table(args)
-    rules = _load_rules(args)
-    classified = classifier.classify(table, rules)
+    classified = classifier.classify(table, _load_rules(args))
     census = classifier.classification_census(classified)
-    if args.format == "json":
-        doc = {
-            "table": table.name,
-            "classes": {name: cls.value for name, cls in classified.classes.items()},
-            "census": census,
-        }
-        print(json.dumps(doc, indent=2))
-    elif args.format == "tsv":
-        print("table\tcolumn\tclass")
-        for name, cls in classified.classes.items():
-            print(f"{table.name}\t{name}\t{cls.value}")
-    else:
-        width = max((len(n) for n in table.column_names), default=6)
-        for name, cls in classified.classes.items():
-            print(f"{name.ljust(width)}  {cls.value}")
-        print(
-            f"census: DID={census['did']} QI={census['qi']} "
-            f"SA={census['sa']} NSA={census['nsa']}"
-        )
+    classes = [(name, cls.value) for name, cls in classified.classes.items()]
+    doc = {"table": table.name, "classes": dict(classes), "census": census}
+    text = _aligned(classes) + [
+        f"census: DID={census['did']} QI={census['qi']} SA={census['sa']} NSA={census['nsa']}"
+    ]
+    _emit(args.format, doc, ["table", "column", "class"],
+          [[table.name, *pair] for pair in classes], text)
     return 0
 
 
 def cmd_score(args) -> int:
     table = _load_table(args)
-    rules = _load_rules(args)
-    classified = classifier.classify(table, rules)
-    scores = metrics.score_columns(classified, _universe_policy(args))
-    if args.format == "json":
-        sys.stdout.write(metrics.scores_to_json(table.name, scores))
-    elif args.format == "tsv":
-        sys.stdout.write(metrics.scores_to_tsv(table.name, scores))
-    else:
-        width = max((len(s.column) for s in scores), default=6)
-        print(f"{'column'.ljust(width)}  uniqueness  influence  sum")
-        for s in scores:
-            print(
-                f"{s.column.ljust(width)}  {metrics.fmt4(s.uniqueness):>10}  "
-                f"{metrics.fmt4(s.influence):>9}  {metrics.fmt4(s.sum)}"
-            )
+    classified = classifier.classify(table, _load_rules(args))
+    scores = metrics.score_columns(classified, metrics.UniversePolicy(args.universe))
+    doc = [
+        {"table": table.name, "column": s.column, "uniqueness": round(s.uniqueness, 4),
+         "influence": round(s.influence, 4), "sum": round(s.sum, 4)}
+        for s in scores
+    ]
+    rows = [[table.name, s.column, _num(s.uniqueness), _num(s.influence), _num(s.sum)]
+            for s in scores]
+    width = max((len(s.column) for s in scores), default=6)
+    text = [f"{'column'.ljust(width)}  uniqueness  influence  sum"] + [
+        f"{column.ljust(width)}  {u:>10}  {i:>9}  {total}" for _, column, u, i, total in rows
+    ]
+    _emit(args.format, doc, ["table", "column", "uniqueness", "influence", "sum"], rows, text)
     return 0
 
 
 def cmd_assess(args) -> int:
-    form = assessment.load_form(args.assessment)
-    score = assessment.grade_requestor(form)
-    if args.format == "json":
-        doc = {
-            "linkage_points": score.linkage_points,
-            "reid_ability_points": score.reid_ability_points,
-            "understanding_points": score.understanding_points,
-            "average": round(score.average, 2),
-            "grade": score.grade.value,
-        }
-        print(json.dumps(doc, indent=2))
-    elif args.format == "tsv":
-        print("linkage\treid_ability\tunderstanding\taverage\tgrade")
-        print(
-            f"{score.linkage_points}\t{score.reid_ability_points}\t"
-            f"{score.understanding_points}\t{score.average:.2f}\t{score.grade.value}"
-        )
-    else:
-        print(f"linkage points:       {score.linkage_points}")
-        print(f"reid ability points:  {score.reid_ability_points}")
-        print(f"understanding points: {score.understanding_points}")
-        print(f"average: {score.average:.2f} ({score.grade.value})")
+    score = assessment.grade_requestor(assessment.load_form(args.assessment))
+    points = {
+        "linkage_points": score.linkage_points,
+        "reid_ability_points": score.reid_ability_points,
+        "understanding_points": score.understanding_points,
+    }
+    doc = {**points, "average": round(score.average, 2), "grade": score.grade.value}
+    row = [*map(str, points.values()), f"{score.average:.2f}", score.grade.value]
+    text = [
+        f"linkage points:       {score.linkage_points}",
+        f"reid ability points:  {score.reid_ability_points}",
+        f"understanding points: {score.understanding_points}",
+        f"average: {score.average:.2f} ({score.grade.value})",
+    ]
+    _emit(args.format, doc, ["linkage", "reid_ability", "understanding", "average", "grade"],
+          [row], text)
     return 0
 
 
@@ -122,7 +131,7 @@ def cmd_select(args) -> int:
     rules = _load_rules(args)
     form = assessment.load_form(args.assessment)
     classified = classifier.classify(table, rules)
-    scores = metrics.score_columns(classified, _universe_policy(args))
+    scores = metrics.score_columns(classified, metrics.UniversePolicy(args.universe))
     requestor = assessment.grade_requestor(form)
     report = selection.build_report(
         classified,
@@ -131,12 +140,40 @@ def cmd_select(args) -> int:
         threshold_override=args.threshold,
         timestamp=not args.no_timestamp,
     )
-    if args.format == "json":
-        sys.stdout.write(selection.report_to_json(report))
-    elif args.format == "tsv":
-        sys.stdout.write(selection.report_to_tsv(report))
-    else:
-        sys.stdout.write(selection.report_to_text(report))
+    entries = [
+        [e.column, e.column_class.value, _num(e.uniqueness), _num(e.influence), _num(e.sum),
+         _yes(e.secondary), _yes(e.selected), e.note]
+        for e in report.entries
+    ]
+    threshold = report.threshold
+    override = ""
+    if threshold.overridden:
+        override = " (manual override" + (
+            "" if threshold.grade_value is None
+            else f"; grade-derived {_num(threshold.grade_value)}"
+        ) + ")"
+    text = [
+        f"table: {report.table_name}",
+        f"requestor grade: {report.grade}",
+        f"threshold: {_num(threshold.value)}{override}",
+        *([] if report.generated_at is None else [f"generated at: {report.generated_at}"]),
+        "",
+        *_aligned([
+            ["column", "class", "uniqueness", "influence", "sum", "selected", "note"],
+            None,
+            *(row[:5] + row[6:] for row in entries),  # all but secondary
+        ]),
+        "",
+        "final QIs: " + (", ".join(sorted(report.final_qis)) or "(none)"),
+    ]
+    _emit(
+        args.format,
+        selection.report_to_dict(report),
+        ["table", "column", "class", "uniqueness", "influence", "sum", "secondary", "selected",
+         "note"],
+        [[report.table_name, *row] for row in entries],
+        text,
+    )
     return 0
 
 
@@ -144,9 +181,8 @@ def cmd_generate(args) -> int:
     spec = generate.load_spec(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    table = generate.generate_table(spec)
     options = IngestOptions(delimiter=args.delimiter, na_token=args.na_token)
-    text = table.to_delimited(options)
+    text = generate.generate_table(spec).to_delimited(options)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
@@ -240,13 +276,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except QiSentryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (QiSentryError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

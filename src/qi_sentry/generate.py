@@ -13,6 +13,7 @@ bytes out.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,7 +47,7 @@ class ColumnSpec:
         """Zipf exponent, or None for uniform."""
         if self.distribution == "uniform":
             return None
-        m = _ZIPF_RE.match(self.distribution)
+        m = _ZIPF_RE.match(self.distribution) if isinstance(self.distribution, str) else None
         if not m:
             raise InvalidSpec(
                 f"column {self.name!r}: distribution must be 'uniform' or 'zipf(s)', "
@@ -56,8 +57,10 @@ class ColumnSpec:
             s = float(m.group(1))
         except ValueError:
             raise InvalidSpec(f"column {self.name!r}: bad zipf exponent") from None
-        if s <= 0:
-            raise InvalidSpec(f"column {self.name!r}: zipf exponent must be > 0, got {s}")
+        if not 0 < s < math.inf:
+            raise InvalidSpec(
+                f"column {self.name!r}: zipf exponent must be positive and finite, got {s}"
+            )
         return s
 
 

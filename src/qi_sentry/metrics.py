@@ -13,6 +13,9 @@ Two metrics per column, both over exact cell symbols:
 
 A column's re-identifiability score is the unrounded sum of the two.
 Columns whose score is strictly positive survive as secondary QIs.
+This module computes and does not format: a :class:`RiskScore` holds
+full floats and its exact counts, and :mod:`qi_sentry.cli` rounds and
+renders them.
 
 Grouping reads the integer codes the table stores for each column (see
 :mod:`qi_sentry.table`) and has one step, :func:`_pair_ids`: it gives
@@ -27,7 +30,6 @@ of about m log2 m folds. Uniqueness counts the codes with
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -102,14 +104,6 @@ class RiskScore:
         uniqueness = counts.singles / counts.rows
         influence = 1 - counts.without / counts.full
         return cls(column, uniqueness, influence, uniqueness + influence, counts)
-
-
-@dataclass(frozen=True)
-class EquivalenceCount:
-    """N(subset): number of equivalence classes under a column subset."""
-
-    subset: frozenset[str]
-    count: int
 
 
 def _pair_ids(
@@ -211,10 +205,6 @@ class GroupingEngine:
         positions = sorted({self._table.position_of(c) for c in subset})
         return _fold(self._table, _ONE_GROUP, positions)[1]
 
-    def equivalence_count(self, subset: Iterable[str]) -> EquivalenceCount:
-        names = frozenset(self._table.columns[self._table.position_of(c)].name for c in subset)
-        return EquivalenceCount(subset=names, count=self.class_count(names))
-
 
 def uniqueness(table: Table, column: str) -> float:
     """Fraction of cells occurring exactly once; missing is one shared symbol."""
@@ -279,32 +269,3 @@ def secondary_qis(scores: Sequence[RiskScore]) -> set[str]:
     apart and is dropped here.
     """
     return {s.column for s in scores if s.sum > 0}
-
-
-# -- rendering ----------------------------------------------------------
-
-def fmt4(value: float) -> str:
-    return f"{value:.4f}"
-
-
-def scores_to_tsv(table_name: str, scores: Sequence[RiskScore]) -> str:
-    lines = ["table\tcolumn\tuniqueness\tinfluence\tsum"]
-    for s in scores:
-        lines.append(
-            f"{table_name}\t{s.column}\t{fmt4(s.uniqueness)}\t{fmt4(s.influence)}\t{fmt4(s.sum)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def scores_to_json(table_name: str, scores: Sequence[RiskScore]) -> str:
-    rows = [
-        {
-            "table": table_name,
-            "column": s.column,
-            "uniqueness": round(s.uniqueness, 4),
-            "influence": round(s.influence, 4),
-            "sum": round(s.sum, 4),
-        }
-        for s in scores
-    ]
-    return json.dumps(rows, indent=2) + "\n"

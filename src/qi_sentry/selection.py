@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .assessment import RequestorScore, UserGrade
 from .classifier import ClassifiedTable, ColumnClass
-from .metrics import RiskScore, fmt4, secondary_qis
+from .metrics import RiskScore, secondary_qis
 
 _GRADE_THRESHOLDS = {
     UserGrade.HIGH: 0.25,
@@ -167,9 +167,10 @@ def build_report(
     )
 
 
-# -- rendering ----------------------------------------------------------
+# -- the report as JSON -------------------------------------------------
 
 def report_to_dict(report: SelectionReport) -> dict:
+    """The report as a JSON document, scores rounded to 4 places."""
     doc = {
         "table": report.table_name,
         "grade": report.grade.value,
@@ -198,67 +199,5 @@ def report_to_dict(report: SelectionReport) -> dict:
 
 
 def report_to_json(report: SelectionReport) -> str:
+    """:func:`report_to_dict` as indented JSON text, as ``select --format json`` prints it."""
     return json.dumps(report_to_dict(report), indent=2) + "\n"
-
-
-def report_to_tsv(report: SelectionReport) -> str:
-    lines = ["table\tcolumn\tclass\tuniqueness\tinfluence\tsum\tsecondary\tselected\tnote"]
-    for e in report.entries:
-        lines.append(
-            "\t".join(
-                [
-                    report.table_name,
-                    e.column,
-                    e.column_class.value,
-                    "" if e.uniqueness is None else fmt4(e.uniqueness),
-                    "" if e.influence is None else fmt4(e.influence),
-                    "" if e.sum is None else fmt4(e.sum),
-                    "yes" if e.secondary else "no",
-                    "yes" if e.selected else "no",
-                    e.note,
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def report_to_text(report: SelectionReport) -> str:
-    """Aligned, human-readable rendering of the evidence table."""
-    header = [
-        f"table: {report.table_name}",
-        f"requestor grade: {report.grade}",
-        f"threshold: {fmt4(report.threshold.value)}"
-        + (
-            f" (manual override; grade-derived {fmt4(report.threshold.grade_value)})"
-            if report.threshold.overridden and report.threshold.grade_value is not None
-            else " (manual override)" if report.threshold.overridden else ""
-        ),
-    ]
-    if report.generated_at is not None:
-        header.append(f"generated at: {report.generated_at}")
-
-    columns = ["column", "class", "uniqueness", "influence", "sum", "selected", "note"]
-    rows = []
-    for e in report.entries:
-        rows.append(
-            [
-                e.column,
-                e.column_class.value,
-                "" if e.uniqueness is None else fmt4(e.uniqueness),
-                "" if e.influence is None else fmt4(e.influence),
-                "" if e.sum is None else fmt4(e.sum),
-                "yes" if e.selected else "no",
-                e.note,
-            ]
-        )
-    widths = [max(len(c), *(len(r[i]) for r in rows)) if rows else len(c) for i, c in enumerate(columns)]
-    lines = header + [""]
-    lines.append("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip())
-    lines.append("  ".join("-" * w for w in widths))
-    for r in rows:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
-    lines.append("")
-    lines.append(
-        "final QIs: " + (", ".join(sorted(report.final_qis)) if report.final_qis else "(none)")
-    )
-    return "\n".join(lines) + "\n"

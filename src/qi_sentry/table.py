@@ -75,23 +75,36 @@ _BOM = b"\xef\xbb\xbf"
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype="<u8")
 
 
-def canonicalize(raw: str) -> CellValue:
-    """Trim ASCII whitespace; an empty result is missing.
+def canonicalize(raw: CellValue) -> CellValue:
+    """Trim ASCII whitespace; None or an empty result is missing.
 
     Idempotent: canonicalize(canonicalize(x)) == canonicalize(x).
     """
-    trimmed = raw.strip(_ASCII_WS)
+    trimmed = raw and raw.strip(_ASCII_WS)
     return trimmed if trimmed else None
 
 
 @dataclass(frozen=True)
 class IngestOptions:
-    """Parsing options for delimited text."""
+    """Options for reading and writing delimited text.
+
+    Raises :class:`IngestError` for a delimiter that is not one
+    character or is a quote or line break: csv cannot write such a
+    delimiter so that it reads back.
+    """
 
     delimiter: str = ","
     has_header: bool = True
     table_name: str = "table"
     na_token: str = "NA"
+
+    def __post_init__(self):
+        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
+            raise IngestError(f"delimiter must be a single character, got {self.delimiter!r}")
+        if self.delimiter in '"\r\n':
+            raise IngestError(
+                f"delimiter cannot be a quote or a line break, got {self.delimiter!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -189,20 +202,14 @@ class Table:
         name: str,
         columns: Mapping[str, Iterable[CellValue]] | Sequence[tuple[str, Iterable[CellValue]]],
         declared_classes: Mapping[str, "ColumnClass"] | None = None,
-        canonical: bool = False,
     ) -> "Table":
-        """Build a table from (column name, cells) pairs.
-
-        Cells are canonicalized unless ``canonical=True`` promises they
-        already are.
-        """
+        """Build a table from (column name, cells) pairs; cells are canonicalized."""
         pairs = list(columns.items()) if isinstance(columns, Mapping) else list(columns)
-        canon = _same if canonical else _canonical_cell
         coded = []
         for col_name, cells in pairs:
             first_rows: dict[CellValue, int] = {}
             codes = _first_row_codes(first_rows, cells, 0)
-            coded.append((col_name, *_densify(first_rows, codes, canon)))
+            coded.append((col_name, *_densify(first_rows, codes, canonicalize)))
         return cls.from_codes(name, coded, declared_classes)
 
     @classmethod
@@ -283,14 +290,6 @@ def _first_row_codes(first_rows: dict, cells: Iterable, row: int) -> np.ndarray:
     value seen so far to its first row and is extended in place.
     """
     return np.fromiter(map(first_rows.setdefault, cells, count(row)), dtype=np.int32)
-
-
-def _same(value: CellValue) -> CellValue:
-    return value
-
-
-def _canonical_cell(value: CellValue) -> CellValue:
-    return canonicalize(value) if isinstance(value, str) else value
 
 
 def _densify(
@@ -524,8 +523,7 @@ def ingest_delimited(source: bytes | IO[bytes], options: IngestOptions | None = 
     ``_KEY_BYTES``). The first block that is not, and all that follow
     it, are parsed by a strict ``csv.reader``.
 
-    Raises :class:`IngestError` for a delimiter that is not one
-    character or is a quote or line break, undecodable bytes, zero
+    Raises :class:`IngestError` for undecodable bytes, zero
     columns, duplicate or empty header names, records the strict csv
     parser rejects (a field over its size limit, a quote left open at
     the end of the input, text after a closing quote) and ragged rows
@@ -533,10 +531,6 @@ def ingest_delimited(source: bytes | IO[bytes], options: IngestOptions | None = 
     record 1).
     """
     opts = options or IngestOptions()
-    if len(opts.delimiter) != 1:
-        raise IngestError(f"delimiter must be a single character, got {opts.delimiter!r}")
-    if opts.delimiter in '"\r\n':
-        raise IngestError(f"delimiter cannot be a quote or a line break, got {opts.delimiter!r}")
 
     stream = io.BytesIO(source) if isinstance(source, bytes) else source
     blocks = _blocks(stream)

@@ -179,7 +179,7 @@ def test_criterion_7_properties():
         col_order = list(range(len(table.columns)))
         rng.shuffle(col_order)
         by_cols = Table.from_columns(
-            "t", [(table.columns[p].name, table.cells[p]) for p in col_order], canonical=True
+            "t", [(table.columns[p].name, table.cells[p]) for p in col_order]
         )
         for name in table.column_names:
             assert uniqueness(by_rows, name) == uniqueness(table, name)

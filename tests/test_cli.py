@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qi_sentry import IngestOptions, ingest_delimited
 from qi_sentry.cli import main
+from qi_sentry.generate import generate_table, load_spec
 
 DEMO_CSV = (
     "Weight,Age,Gender,Zipcode\n"
@@ -44,6 +52,10 @@ LOW_FORM = {
     "tenure_years": 0,
 }
 
+# A scores 2/6 + (1 - 5/6) = 1/2 exactly, though its float sum is
+# 0.49999999999999994; B scores 4/6 + (1 - 4/6) = 1
+HALF_CSV = "A,B\nx,1\nx,2\ny,3\ny,4\np,5\nq,5\n"
+
 MIDDLE_FORM = {
     "linkage": "High",
     "intent": [True, True, False],
@@ -61,6 +73,8 @@ def workspace(tmp_path):
     (tmp_path / "high.json").write_text(json.dumps(HIGH_FORM))
     (tmp_path / "low.json").write_text(json.dumps(LOW_FORM))
     (tmp_path / "middle.json").write_text(json.dumps(MIDDLE_FORM))
+    (tmp_path / "half.csv").write_text(HALF_CSV)
+    (tmp_path / "all_qi.json").write_text(json.dumps({"default": "QI", "rules": []}))
     return tmp_path
 
 
@@ -151,6 +165,37 @@ def test_score_demo_tsv(workspace, capsys):
     assert lines[2] == "demo\tAge\t0.2000\t0.2500\t0.4500"
     assert lines[3] == "demo\tGender\t0.0000\t0.0000\t0.0000"
     assert lines[4] == "demo\tZipcode\t0.0000\t0.0000\t0.0000"
+
+
+def test_score_tsv_format(workspace, capsys):
+    code, out, _ = run(
+        capsys, "score",
+        "--input", str(workspace / "demo.csv"),
+        "--rules", str(workspace / "rules.json"),
+        "--format", "tsv",
+    )
+    assert code == 0
+    assert out == (
+        "table\tcolumn\tuniqueness\tinfluence\tsum\n"
+        "demo\tWeight\t0.2000\t0.0000\t0.2000\n"
+        "demo\tAge\t0.2000\t0.2500\t0.4500\n"
+        "demo\tGender\t0.0000\t0.0000\t0.0000\n"
+        "demo\tZipcode\t0.0000\t0.0000\t0.0000\n"
+    )
+
+
+def test_score_json_is_valid_and_rounded(workspace, capsys):
+    code, out, _ = run(
+        capsys, "score",
+        "--input", str(workspace / "half.csv"),
+        "--rules", str(workspace / "all_qi.json"),
+        "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out) == [
+        {"table": "half", "column": "A", "uniqueness": 0.3333, "influence": 0.1667, "sum": 0.5},
+        {"table": "half", "column": "B", "uniqueness": 0.6667, "influence": 0.3333, "sum": 1.0},
+    ]
 
 
 def test_score_header_only_input_exits_2(workspace, capsys):
@@ -391,6 +436,35 @@ def test_select_text_golden(workspace, capsys):
     )
 
 
+def test_select_tsv_has_one_row_per_column(workspace, capsys):
+    code, out, _ = run(capsys, *select_args(workspace, "high.json", "--format", "tsv"))
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0].startswith("table\tcolumn\tclass")
+    assert len(lines) == 1 + 4
+
+
+def test_select_text_rendering(workspace, capsys):
+    code, out, _ = run(capsys, *select_args(workspace, "high.json", "--no-timestamp"))
+    assert code == 0
+    assert "requestor grade: High" in out
+    assert "threshold: 0.2500" in out
+    assert "final QIs: Age" in out
+    assert "0.4500" in out
+
+
+def test_select_exact_half_score_is_selected_at_half(workspace, capsys):
+    code, out, _ = run(
+        capsys, "select",
+        "--input", str(workspace / "half.csv"),
+        "--rules", str(workspace / "all_qi.json"),
+        "--assessment", str(workspace / "middle.json"),
+    )
+    assert code == 0
+    assert "A       QI     0.3333      0.1667     0.5000  yes" in out
+    assert "final QIs: A, B" in out
+
+
 # -- generate -----------------------------------------------------------------------
 
 def test_generate_deterministic_bytes(workspace, capsys):
@@ -418,6 +492,67 @@ def test_generate_invalid_spec_exits_2(workspace, capsys):
     code, _, err = run(capsys, "generate", "--spec", str(path))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("delimiter", ["", "ab", '"', "\r", "\n"])
+@pytest.mark.parametrize("command", ["generate", "score"])
+def test_bad_delimiter_is_one_error_line_and_exit_2(workspace, capsys, command, delimiter):
+    spec = workspace / "gspec.json"
+    spec.write_text(json.dumps({"rows": 5, "columns": [{"name": "a", "distinct_values": 3}]}))
+    output = workspace / "out.csv"
+    if command == "generate":
+        argv = ["generate", "--spec", str(spec), "--output", str(output)]
+    else:
+        argv = ["score", "--input", str(workspace / "demo.csv")]
+    code, out, err = run(capsys, *argv, f"--delimiter={delimiter}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: delimiter ")
+    assert err.count("\n") == 1
+    assert not output.exists()
+
+
+@pytest.mark.parametrize("delimiter", [",", "\t", ";", "|"])
+def test_generate_round_trips_through_ingest(workspace, capsys, delimiter):
+    spec = {
+        "rows": 200,
+        "seed": 4,
+        "columns": [
+            {"name": "a", "distinct_values": 30, "distribution": "zipf(1.1)"},
+            {"name": "b", "distinct_values": 3},
+        ],
+    }
+    spec_path = workspace / "rspec.json"
+    spec_path.write_text(json.dumps(spec))
+    path = workspace / "round.txt"
+    code, _, _ = run(
+        capsys, "generate", "--spec", str(spec_path), "--output", str(path),
+        "--delimiter", delimiter,
+    )
+    assert code == 0
+    table = ingest_delimited(path.read_bytes(), IngestOptions(delimiter=delimiter))
+    generated = generate_table(load_spec(spec_path))
+    assert table.column_names == generated.column_names == ("a", "b")
+    assert table.cells == generated.cells
+
+
+@pytest.mark.parametrize(
+    "distribution, message",
+    [
+        (5, "distribution must be 'uniform' or 'zipf(s)', got 5"),
+        ("zipf(1e400)", "zipf exponent must be positive and finite, got inf"),
+    ],
+)
+def test_generate_bad_distribution_is_one_error_line_and_exit_2(
+    workspace, capsys, distribution, message
+):
+    spec = {"rows": 5, "columns": [{"name": "a", "distinct_values": 3, "distribution": distribution}]}
+    path = workspace / "dspec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "generate", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: column 'a': {message}\n"
 
 
 # -- oracle -------------------------------------------------------------------------
@@ -487,3 +622,160 @@ def test_unknown_command_exits_2(capsys):
 
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
+
+
+# -- golden outputs -------------------------------------------------------------------
+# The full stdout of every rendering, pinned byte for byte in tests/golden/.
+
+GOLDEN = Path(__file__).parent / "golden"
+
+VISITS_CSV = (
+    "patient_name,Weight,Age,Gender,Zipcode,diagnosis,visit_note\n"
+    "Ann Lee,72,45,M,75145,flu,follow-up\n"
+    "Ann Lee,72,45,M,75145,flu,NA\n"
+    "Bo Chan,58,21,M,47853,cold,\n"
+    "Cy Diaz,45,21,F,47853,flu,first visit\n"
+    "Cy Diaz,45,64,F,47853,asthma,first visit\n"
+)
+
+VISITS_RULES = {
+    "default": "NSA",
+    "rules": [
+        {"match": "*name*", "class": "DID"},
+        {"match": "diagnosis", "class": "SA"},
+        {"match": "weight", "class": "QI"},
+        {"match": "age", "class": "QI"},
+        {"match": "gender", "class": "QI"},
+        {"match": "zipcode", "class": "QI"},
+    ],
+}
+
+TABLE = ["--input", "{dir}/visits.csv", "--rules", "{dir}/rules.json"]
+NSA_TABLE = ["--input", "{dir}/visits.csv", "--rules", "{dir}/nsa.json"]
+SELECT = ["select", *TABLE, "--assessment", "{dir}/high.json", "--no-timestamp"]
+
+GOLDEN_CASES = {
+    "classify": ["classify", *TABLE],
+    "classify-nsa": ["classify", *NSA_TABLE],
+    "score": ["score", *TABLE],
+    "score-qi": ["score", *TABLE, "--universe", "qi"],
+    "score-nsa": ["score", *NSA_TABLE],
+    "assess": ["assess", "--assessment", "{dir}/middle.json"],
+    "select": SELECT,
+    "select-threshold": [*SELECT, "--threshold", "0.2"],
+    "select-qi": [*SELECT, "--universe", "qi"],
+    "select-nsa": ["select", *NSA_TABLE, "--assessment", "{dir}/high.json", "--no-timestamp"],
+    "select-low": ["select", *TABLE, "--assessment", "{dir}/low.json", "--no-timestamp"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv", "text"])
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_output(tmp_path, capsys, case, fmt):
+    (tmp_path / "visits.csv").write_text(VISITS_CSV)
+    (tmp_path / "rules.json").write_text(json.dumps(VISITS_RULES))
+    (tmp_path / "nsa.json").write_text(json.dumps({"default": "NSA", "rules": []}))
+    for name, form in [("high", HIGH_FORM), ("middle", MIDDLE_FORM), ("low", LOW_FORM)]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(form))
+    argv = [arg.format(dir=tmp_path) for arg in GOLDEN_CASES[case]]
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / f"{case}.{fmt}").read_bytes()
+
+
+# -- fuzz gate: arbitrary and mutated JSON documents fail cleanly or not at all --
+# Integers stay within +-1000, so no generated spec allocates more than a few MB.
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1000, 1000) | st.floats() | st.text(max_size=10),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=10), inner, max_size=5),
+    max_leaves=12,
+)
+
+VALID_SPEC = {
+    "rows": 40,
+    "seed": 2,
+    "name": "s",
+    "columns": [
+        {"name": "a", "distinct_values": 7, "distribution": "zipf(1.2)", "class_hint": "QI"},
+        {"name": "b", "distinct_values": 3, "class_hint": "DID"},
+    ],
+}
+
+
+def _slots(node):
+    """Every (container, key) pair inside a JSON value."""
+    if isinstance(node, dict):
+        children = list(node.items())
+    elif isinstance(node, list):
+        children = list(enumerate(node))
+    else:
+        children = []
+    for key, child in children:
+        yield node, key
+        yield from _slots(child)
+
+
+@st.composite
+def mutations_of(draw, valid):
+    """``valid`` with one to three values replaced, deleted or added."""
+    doc = copy.deepcopy(valid)
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        node, key = draw(st.sampled_from(slots))
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "replace":
+            node[key] = draw(JSON_VALUES)
+        elif action == "delete":
+            del node[key]
+        elif isinstance(node, dict):
+            node[draw(st.text(max_size=10))] = draw(JSON_VALUES)
+        else:
+            node.insert(key, draw(JSON_VALUES))
+    return doc
+
+
+def json_documents(valid):
+    return JSON_VALUES | mutations_of(valid)
+
+
+def run_on_document(tmp_path_factory, doc, argv):
+    """Run the CLI with ``{doc}`` in ``argv`` naming a file that holds ``doc``."""
+    work = tmp_path_factory.mktemp("doc")
+    path = work / "doc.json"
+    path.write_text(json.dumps(doc))
+    (work / "demo.csv").write_text(VISITS_CSV)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([arg.format(doc=path, dir=work) for arg in argv])
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_documents(VISITS_RULES))
+def test_classify_on_arbitrary_rules_exits_0_or_2(tmp_path_factory, doc):
+    run_on_document(
+        tmp_path_factory, doc, ["classify", "--input", "{dir}/demo.csv", "--rules", "{doc}"]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_documents(MIDDLE_FORM))
+def test_assess_on_arbitrary_forms_exits_0_or_2(tmp_path_factory, doc):
+    run_on_document(tmp_path_factory, doc, ["assess", "--assessment", "{doc}"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_documents(VALID_SPEC))
+def test_generate_on_arbitrary_specs_exits_0_or_2(tmp_path_factory, doc):
+    run_on_document(
+        tmp_path_factory, doc,
+        ["generate", "--spec", "{doc}", "--output", "{dir}/out.csv", "--rules-out", "{dir}/r.json"],
+    )

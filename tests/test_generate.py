@@ -110,6 +110,15 @@ def test_distribution_string_validated():
         ColumnSpec("a", 5, "zipf(abc)")
 
 
+@pytest.mark.parametrize("distribution", [5, None, ["zipf(1.2)"], "zipf(1e400)", "zipf(-1e400)"])
+def test_distribution_must_be_a_string_with_a_finite_exponent(distribution):
+    with pytest.raises(InvalidSpec):
+        ColumnSpec("a", 5, distribution)
+    with pytest.raises(InvalidSpec):
+        parse_spec({"rows": 5, "columns": [{"name": "a", "distinct_values": 5,
+                                            "distribution": distribution}]})
+
+
 def test_duplicate_column_names_rejected():
     with pytest.raises(InvalidSpec):
         spec_of(ColumnSpec("a", 5), ColumnSpec("A", 5))

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import random
 
 import numpy as np
@@ -22,7 +21,7 @@ from qi_sentry import (
     secondary_qis,
     uniqueness,
 )
-from qi_sentry.metrics import GroupingEngine, scores_to_json, scores_to_tsv
+from qi_sentry.metrics import GroupingEngine
 from qi_sentry.oracle import (
     oracle_equivalence_class_count,
     oracle_influence,
@@ -117,13 +116,6 @@ def test_class_count_unknown_column(demo_table):
 def test_class_count_empty_table():
     with pytest.raises(MetricUndefined):
         equivalence_class_count(Table.from_rows("t", ["a"], []), {"a"})
-
-
-def test_grouping_engine_equivalence_count(demo_table):
-    engine = GroupingEngine(demo_table)
-    ec = engine.equivalence_count({"Age", "Gender"})
-    assert ec.subset == frozenset({"Age", "Gender"})
-    assert 1 <= ec.count <= demo_table.row_count
 
 
 def test_class_count_compression_path_matches_oracle():
@@ -376,21 +368,3 @@ def test_secondary_qis_keeps_tiny_positive_sums():
 def test_risk_score_sum_is_exact():
     score = RiskScore.of("c", 0.2, 0.25)
     assert score.sum == 0.2 + 0.25
-
-
-# -- rendering ----------------------------------------------------------------
-
-def test_scores_to_tsv_format():
-    scores = [RiskScore.of("Age", 0.2, 0.25)]
-    assert scores_to_tsv("demo", scores) == (
-        "table\tcolumn\tuniqueness\tinfluence\tsum\n"
-        "demo\tAge\t0.2000\t0.2500\t0.4500\n"
-    )
-
-
-def test_scores_to_json_is_valid_and_rounded():
-    scores = [RiskScore.of("Age", 1 / 3, 0.25)]
-    doc = json.loads(scores_to_json("t", scores))
-    assert doc == [
-        {"table": "t", "column": "Age", "uniqueness": 0.3333, "influence": 0.25, "sum": 0.5833}
-    ]

@@ -160,7 +160,7 @@ def test_column_permutation_invariance(table, rnd):
     order = list(range(len(table.columns)))
     rnd.shuffle(order)
     permuted = Table.from_columns(
-        "t", [(table.columns[p].name, table.cells[p]) for p in order], canonical=True
+        "t", [(table.columns[p].name, table.cells[p]) for p in order]
     )
     for name in table.column_names:
         assert uniqueness(permuted, name) == uniqueness(table, name)

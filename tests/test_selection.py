@@ -22,8 +22,6 @@ from qi_sentry.selection import (
     SelectionThreshold,
     report_to_dict,
     report_to_json,
-    report_to_text,
-    report_to_tsv,
 )
 from selection_grid import GRID_ROWS
 
@@ -114,7 +112,6 @@ def test_exact_half_score_is_selected_at_half():
     assert select_final_qis(scores, threshold_for(UserGrade.MIDDLE)) == {"A", "B"}
     report = build_report(classified, scores, requestor_with_grade(UserGrade.MIDDLE))
     assert report.final_qis == {"A", "B"}
-    assert "A       QI     0.3333      0.1667     0.5000  yes" in report_to_text(report)
 
 
 def test_selection_reference_examples():
@@ -265,19 +262,3 @@ def test_report_dict_contains_override_fields(demo_table, all_qi_rules):
     assert doc["threshold"] == 0.1
     assert doc["grade_threshold"] == 0.25
     assert doc["threshold_overridden"] is True
-
-
-def test_report_tsv_has_one_row_per_column(demo_table, all_qi_rules):
-    _, _, report = demo_report(demo_table, all_qi_rules, timestamp=False)
-    lines = report_to_tsv(report).strip().split("\n")
-    assert lines[0].startswith("table\tcolumn\tclass")
-    assert len(lines) == 1 + 4
-
-
-def test_report_text_rendering(demo_table, all_qi_rules):
-    _, _, report = demo_report(demo_table, all_qi_rules, timestamp=False)
-    text = report_to_text(report)
-    assert "requestor grade: High" in text
-    assert "threshold: 0.2500" in text
-    assert "final QIs: Age" in text
-    assert "0.4500" in text

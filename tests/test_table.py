@@ -483,6 +483,13 @@ def test_quote_and_line_break_delimiters_rejected(delimiter):
     assert "delimiter" in str(exc.value)
 
 
+@pytest.mark.parametrize("delimiter", ["", "ab", '"', "\r", "\n", 5])
+def test_options_reject_a_delimiter_that_cannot_be_written_and_read_back(delimiter):
+    # reading and writing share this check, so to_delimited never gets such a delimiter
+    with pytest.raises(IngestError):
+        IngestOptions(delimiter=delimiter)
+
+
 # -- fuzz gate: arbitrary bytes ingest as the reference does, or fail cleanly --
 
 FUZZ_PIECES = [b'"', b"\r", b"\n", b"\0", b",", b"\t", b" ", b"\xff", b"\xc3", b"\xef\xbb\xbf", b""]
