@@ -98,7 +98,7 @@ def cmd_score(args) -> int:
     ]
     rows = [[table.name, s.column, _num(s.uniqueness), _num(s.influence), _num(s.sum)]
             for s in scores]
-    width = max((len(s.column) for s in scores), default=6)
+    width = max([len("column"), *(len(s.column) for s in scores)])
     text = [f"{'column'.ljust(width)}  uniqueness  influence  sum"] + [
         f"{column.ljust(width)}  {u:>10}  {i:>9}  {total}" for _, column, u, i, total in rows
     ]
@@ -278,6 +278,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (QiSentryError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. a spec whose columns cannot be drawn in memory
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
 
 

@@ -22,9 +22,10 @@ import numpy as np
 
 from .classifier import ClassificationRules, ColumnClass, Rule
 from .errors import InvalidSpec
-from .table import Table
+from .table import Table, canonicalize
 
 _ZIPF_RE = re.compile(r"^zipf\(\s*([0-9.eE+-]+)\s*\)$")
+_GLOB_CHARS = re.compile(r"[*?[]")
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,12 @@ class ColumnSpec:
     class_hint: ColumnClass | None = None
 
     def __post_init__(self):
+        if self.name != canonicalize(self.name):
+            # a header cell is read back trimmed, and an empty one is rejected
+            raise InvalidSpec(
+                f"column name must be non-empty, without leading or trailing whitespace, "
+                f"got {self.name!r}"
+            )
         if self.distinct_values < 1:
             raise InvalidSpec(
                 f"column {self.name!r}: distinct_values must be positive, "
@@ -74,6 +81,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.rows < 1:
             raise InvalidSpec(f"rows must be positive, got {self.rows}")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be non-negative, got {self.seed}")
         if not self.columns:
             raise InvalidSpec("spec must declare at least one column")
         seen = set()
@@ -110,9 +119,14 @@ def generate_table(spec: SyntheticSpec) -> Table:
 
 
 def rules_for_spec(spec: SyntheticSpec) -> ClassificationRules:
-    """Exact-name rules reproducing the spec's class hints."""
+    """Exact-name rules reproducing the spec's class hints.
+
+    Rule patterns are globs, so ``*``, ``?`` and ``[`` in a name are
+    escaped as ``[*]``, ``[?]`` and ``[[]``.
+    """
     rules = tuple(
-        Rule(pattern=col.name, assign=col.class_hint, note="from synthetic spec")
+        Rule(pattern=_GLOB_CHARS.sub(r"[\g<0>]", col.name), assign=col.class_hint,
+             note="from synthetic spec")
         for col in spec.columns
         if col.class_hint is not None
     )

@@ -19,11 +19,13 @@ csv field limit and valid UTF-8 is tokenized with numpy: each field
 becomes a zero-padded key and each column of the block is factorized
 with ``np.unique``, unless one column's keys would take more than
 ``_KEY_BYTES``. The first block that breaks any of these rules, and
-everything after it, goes through ``csv.reader``, which is the only
-parser that reads quoted fields or CR line endings and the one place
-that reports malformed records. Both feed the same per-column merge, so
-canonicalizing a value and merging equal canonical values happen once
-per distinct raw value.
+everything after it, is decoded block by block and read as lines by
+``csv.reader``, which is the only parser that reads quoted fields or CR
+line endings and the one place that reports malformed records. Faults
+are reported in record order: the records read before a malformed
+record or invalid UTF-8 are checked for ragged rows first. Both parsers
+feed the same per-column merge, so canonicalizing a value and merging
+equal canonical values happen once per distinct raw value.
 
 Cell comparison everywhere downstream is exact, case-sensitive string
 equality: ``"72"`` and ``"72.0"`` are different symbols on purpose.
@@ -313,29 +315,22 @@ def _densify(
     return tuple(ids), by_first_row[codes]
 
 
-def _take(records: Iterator[list[str]], limit: int, number: int) -> list[list[str]]:
-    """Up to ``limit`` records; ``number`` is the 1-based number of the first."""
+def _take(
+    records: Iterator[list[str]], limit: int, number: int
+) -> tuple[list[list[str]], IngestError | None]:
+    """Up to ``limit`` records, and the fault that ended them early, if any.
+
+    ``number`` is the 1-based number of the first record.
+    """
     taken: list[list[str]] = []
     try:
-        # extend keeps the records read before an error, which numbers the bad one
+        # extend keeps the records read before a fault, so they can be checked first
         taken.extend(islice(records, limit))
     except csv.Error as exc:
-        raise IngestError(f"malformed record: {exc}", row=number + len(taken)) from None
-    return taken
-
-
-def _header_names(header: list[str]) -> list[str]:
-    names = []
-    seen = set()
-    for cell in header:
-        name = cell.strip(_ASCII_WS)
-        if not name:
-            raise IngestError(f"empty column name in header {header!r}", row=1)
-        if name.lower() in seen:
-            raise IngestError(f"duplicate column name {name!r}", row=1)
-        seen.add(name.lower())
-        names.append(name)
-    return names
+        return taken, IngestError(f"malformed record: {exc}", row=number + len(taken))
+    except IngestError as exc:  # invalid UTF-8, from _lines
+        return taken, exc
+    return taken, None
 
 
 class _Columns:
@@ -346,28 +341,38 @@ class _Columns:
     block by block. Both parsers add to it.
     """
 
-    def __init__(self, names: list[str], first_record: int):
-        self.names = names
-        self.first_rows: list[dict[str, int]] = [{} for _ in names]
-        self.parts: list[list[np.ndarray]] = [[np.empty(0, dtype=np.int32)] for _ in names]
+    def __init__(self, first: list[str] | None, has_header: bool):
+        """Columns named from the first record (None if there is none).
+
+        A header names them by its cells; otherwise they are named by
+        position and the first record is the first row.
+        """
+        if not first:
+            if first is None or has_header:
+                raise IngestError("no columns: input is empty")
+            raise IngestError("no columns: first record is empty", row=1)
+        self.names = [
+            cell.strip(_ASCII_WS) if has_header else f"col_{j}" for j, cell in enumerate(first)
+        ]
+        seen = set()
+        for name in self.names:
+            if not name:
+                raise IngestError(f"empty column name in header {first!r}", row=1)
+            if name.lower() in seen:
+                raise IngestError(f"duplicate column name {name!r}", row=1)
+            seen.add(name.lower())
+        self.first_rows: list[dict[str, int]] = [{} for _ in self.names]
+        self.parts: list[list[np.ndarray]] = [[np.empty(0, dtype=np.int32)] for _ in self.names]
         self.rows = 0
-        self.first_record = first_record  # 1-based number of the record holding row 0
+        self.first_record = 1 + has_header  # 1-based number of the record holding row 0
 
     @property
     def next_record(self) -> int:
         return self.first_record + self.rows
 
-    def take(self, records: Iterator[list[str]]) -> list[list[str]]:
-        """The next chunk of records, ending on a multiple of ``_CHUNK_RECORDS`` rows.
-
-        Chunks end where they would if csv.reader had parsed from the
-        first record, so an input with several faults reports the same one.
-        """
-        return _take(records, _CHUNK_RECORDS - self.rows % _CHUNK_RECORDS, self.next_record)
-
     def add_records(self, chunk: list[list[str]]) -> None:
         width = len(self.names)
-        if set(map(len, chunk)) != {width}:
+        if set(map(len, chunk)) - {width}:
             bad = next(i for i, record in enumerate(chunk) if len(record) != width)
             raise IngestError(
                 f"ragged row: {len(chunk[bad])} fields, expected {width}",
@@ -426,28 +431,6 @@ def _blocks(stream: IO[bytes]) -> Iterator[bytes]:
         pending.append(data[cut:])
     if tail := b"".join(pending):
         yield tail
-
-
-class _Joined(io.RawIOBase):
-    """A readable raw stream over an iterator of byte strings."""
-
-    def __init__(self, pieces: Iterator[bytes]):
-        self._pieces = pieces
-        self._left = memoryview(b"")
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        while not self._left:
-            piece = next(self._pieces, None)
-            if piece is None:
-                return 0
-            self._left = memoryview(piece)
-        n = min(len(buffer), len(self._left))
-        buffer[:n] = self._left[:n]
-        self._left = self._left[n:]
-        return n
 
 
 def _tokenize(
@@ -521,14 +504,16 @@ def ingest_delimited(source: bytes | IO[bytes], options: IngestOptions | None = 
     number of fields, no field is longer than the csv field limit and
     the bytes are valid UTF-8 (and as long as its padded keys fit in
     ``_KEY_BYTES``). The first block that is not, and all that follow
-    it, are parsed by a strict ``csv.reader``.
+    it, are read as lines by a strict ``csv.reader``.
 
     Raises :class:`IngestError` for undecodable bytes, zero
     columns, duplicate or empty header names, records the strict csv
     parser rejects (a field over its size limit, a quote left open at
     the end of the input, text after a closing quote) and ragged rows
     (``row`` carries the 1-based record number, counting the header as
-    record 1).
+    record 1). Of several faults, the first in record order is raised;
+    invalid UTF-8 is placed only to within the 8 KiB that are decoded
+    at a time, so a ragged row shortly before it may go unreported.
     """
     opts = options or IngestOptions()
 
@@ -545,45 +530,40 @@ def ingest_delimited(source: bytes | IO[bytes], options: IngestOptions | None = 
                 break
             buf, starts, lengths = fields
             if columns is None:
-                if opts.has_header:
-                    header = block.partition(b"\n")[0].decode("utf-8")
-                    columns = _Columns(_header_names(header.split(opts.delimiter)), 2)
-                    starts, lengths = starts[:, 1:], lengths[:, 1:]
-                else:
-                    columns = _Columns([f"col_{j}" for j in range(len(starts))], 1)
+                first = block.partition(b"\n")[0].decode("utf-8").split(opts.delimiter)
+                columns = _Columns(first, opts.has_header)
+                starts, lengths = starts[:, opts.has_header :], lengths[:, opts.has_header :]
             if starts.shape[1]:
                 columns.add_fields(buf, starts, lengths)
         else:
-            block = b""
+            return columns.table(opts)
 
-    rest = io.BufferedReader(_Joined(chain([block], blocks)))
-    with io.TextIOWrapper(rest, encoding="utf-8", newline="") as text:
-        try:
-            records = csv.reader(text, delimiter=opts.delimiter, strict=True)
-            return _ingest_records(records, opts, columns)
-        except UnicodeDecodeError as exc:
-            raise IngestError(f"input is not valid UTF-8: {exc}") from None
-
-
-def _ingest_records(
-    records: Iterator[list[str]], opts: IngestOptions, columns: _Columns | None
-) -> Table:
-    """Add ``records`` to ``columns``, or to new ones when no record has been read yet."""
-    if columns is None and opts.has_header:
-        header = _take(records, 1, 1)
-        if not header or not header[0]:
-            raise IngestError("no columns: input is empty")
-        columns = _Columns(_header_names(header[0]), 2)
+    records = csv.reader(_lines(chain([block], blocks)), delimiter=opts.delimiter, strict=True)
     if columns is None:
-        chunk = _take(records, _CHUNK_RECORDS, 1)
-        if not chunk:
-            raise IngestError("no columns: input is empty")
-        if not chunk[0]:
-            raise IngestError("no columns: first record is empty", row=1)
-        columns = _Columns([f"col_{j}" for j in range(len(chunk[0]))], 1)
-    else:
-        chunk = columns.take(records)
-    while chunk:
-        columns.add_records(chunk)
-        chunk = columns.take(records)
-    return columns.table(opts)
+        first, fault = _take(records, 1, 1)
+        if fault:
+            raise fault
+        columns = _Columns(first[0] if first else None, opts.has_header)
+        if not opts.has_header:
+            columns.add_records(first)
+    while True:
+        chunk, fault = _take(records, _CHUNK_RECORDS, columns.next_record)
+        columns.add_records(chunk)  # a ragged row before the fault is the first fault
+        if fault:
+            raise fault
+        if len(chunk) < _CHUNK_RECORDS:
+            return columns.table(opts)
+
+
+def _lines(blocks: Iterable[bytes]) -> Iterator[str]:
+    """The lines of ``blocks``, each block decoded on its own.
+
+    Blocks end on a newline, so no UTF-8 character and no CRLF spans two.
+    Lines end on CR, LF or CRLF, as csv.reader expects.
+    """
+    for block in blocks:
+        with io.TextIOWrapper(io.BytesIO(block), encoding="utf-8", newline="") as text:
+            try:
+                yield from text
+            except UnicodeDecodeError as exc:
+                raise IngestError(f"input is not valid UTF-8: {exc}") from None

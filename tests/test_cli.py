@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qi_sentry.cli as cli_module
+import qi_sentry.generate as generate_module
 from qi_sentry import IngestOptions, ingest_delimited
 from qi_sentry.cli import main
 from qi_sentry.generate import generate_table, load_spec
@@ -196,6 +198,20 @@ def test_score_json_is_valid_and_rounded(workspace, capsys):
         {"table": "half", "column": "A", "uniqueness": 0.3333, "influence": 0.1667, "sum": 0.5},
         {"table": "half", "column": "B", "uniqueness": 0.6667, "influence": 0.3333, "sum": 1.0},
     ]
+
+
+def test_score_text_aligns_names_shorter_than_the_column_header(workspace, capsys):
+    path = workspace / "short.csv"
+    path.write_text("a,bb\nx,1\ny,1\nz,2\n")
+    code, out, _ = run(
+        capsys, "score", "--input", str(path), "--rules", str(workspace / "all_qi.json")
+    )
+    assert code == 0
+    assert out == (
+        "column  uniqueness  influence  sum\n"
+        "a           1.0000     0.3333  1.3333\n"
+        "bb          0.3333     0.0000  0.3333\n"
+    )
 
 
 def test_score_header_only_input_exits_2(workspace, capsys):
@@ -553,6 +569,72 @@ def test_generate_bad_distribution_is_one_error_line_and_exit_2(
     assert code == 2
     assert out == ""
     assert err == f"error: column 'a': {message}\n"
+
+
+@pytest.mark.parametrize("spec_seed, flags, seed", [(-5, [], -5), (3, ["--seed", "-1"], -1)])
+def test_generate_negative_seed_is_one_error_line_and_exit_2(
+    workspace, capsys, spec_seed, flags, seed
+):
+    path = workspace / "sspec.json"
+    path.write_text(json.dumps(
+        {"rows": 5, "seed": spec_seed, "columns": [{"name": "a", "distinct_values": 3}]}
+    ))
+    output = workspace / "out.csv"
+    code, out, err = run(capsys, "generate", "--spec", str(path), "--output", str(output), *flags)
+    assert (code, out) == (2, "")
+    assert err == f"error: seed must be non-negative, got {seed}\n"
+    assert not output.exists()
+
+
+@pytest.mark.parametrize("name", ["", " x ", "x\t"])
+def test_generate_column_name_that_reads_back_otherwise_is_one_error_line_and_exit_2(
+    workspace, capsys, name
+):
+    path = workspace / "nspec.json"
+    path.write_text(json.dumps({"rows": 5, "columns": [{"name": name, "distinct_values": 3}]}))
+    output = workspace / "out.csv"
+    code, out, err = run(capsys, "generate", "--spec", str(path), "--output", str(output))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: column name must be non-empty")
+    assert err.count("\n") == 1
+    assert not output.exists()
+
+
+def test_generate_rules_out_keeps_every_hint_of_names_with_glob_characters(workspace, capsys):
+    hints = {"a*": "SA", "a?": "DID", "ab": "QI", "[x]": "QI", "a,b": "QI", "x": "NSA"}
+    spec = {"rows": 20, "columns": [
+        {"name": name, "distinct_values": 3, "class_hint": hint} for name, hint in hints.items()
+    ]}
+    spec_path = workspace / "gspec.json"
+    spec_path.write_text(json.dumps(spec))
+    table_path, rules_path = workspace / "glob.csv", workspace / "glob_rules.json"
+    code, _, _ = run(capsys, "generate", "--spec", str(spec_path), "--output", str(table_path),
+                     "--rules-out", str(rules_path))
+    assert code == 0
+    code, out, _ = run(capsys, "classify", "--input", str(table_path), "--rules", str(rules_path),
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["classes"] == hints
+
+
+@pytest.mark.parametrize("command", ["generate", "score"])
+@pytest.mark.parametrize("message, line", [
+    ("", "error: out of memory\n"),
+    ("Unable to allocate 7.28 TiB", "error: out of memory: Unable to allocate 7.28 TiB\n"),
+])
+def test_out_of_memory_is_one_error_line_and_exit_2(
+    workspace, capsys, monkeypatch, command, message, line
+):
+    def exhausted(*_):
+        raise MemoryError(message) if message else MemoryError
+
+    if command == "generate":
+        monkeypatch.setattr(generate_module, "load_spec", exhausted)
+        argv = ["generate", "--spec", str(workspace / "any.json")]
+    else:
+        monkeypatch.setattr(cli_module, "_load_table", exhausted)
+        argv = ["score", "--input", str(workspace / "demo.csv")]
+    assert run(capsys, *argv) == (2, "", line)
 
 
 # -- oracle -------------------------------------------------------------------------

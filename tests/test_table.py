@@ -440,6 +440,70 @@ def test_csv_reader_taking_over_mid_chunk_reports_the_same_fault_first(monkeypat
     assert tokenized == [False] + [True] * 6 + [False]
 
 
+RAGGED_3 = "ragged row: 1 fields, expected 2 (record 3)"
+
+
+def test_ragged_row_before_a_malformed_record_in_one_chunk_is_reported():
+    with pytest.raises(IngestError) as exc:
+        ingest_delimited(b'a,b\n1,2\n1\n"x"y,2\n')
+    assert (exc.value.row, str(exc.value)) == (3, RAGGED_3)
+
+
+def test_ragged_row_before_a_malformed_record_after_the_hand_over_is_reported(
+    monkeypatch, tokenized
+):
+    # one-line blocks: numpy reads the header and rows 0-4, csv.reader starts at row 5
+    monkeypatch.setattr(table_module, "_BLOCK_BYTES", 1)
+    with pytest.raises(IngestError) as exc:
+        ingest_delimited(b"a,b\n" + b"1,2\n" * 5 + b'"q",2\n' + b"1\n" + b'"x"y,2\n')
+    assert (exc.value.row, str(exc.value)) == (8, "ragged row: 1 fields, expected 2 (record 8)")
+    assert tokenized == [True] * 6 + [False]
+    assert 5 % table_module._CHUNK_RECORDS
+
+
+def test_ragged_row_over_8_kib_before_invalid_utf8_in_one_chunk_is_reported():
+    data = b"a,b\n1,2\n1\n" + b"3,4\n" * 3000 + b"\xff,2\n"
+    assert 3003 < table_module._CHUNK_RECORDS
+    with pytest.raises(IngestError) as exc:
+        ingest_delimited(data)
+    assert (exc.value.row, str(exc.value)) == (3, RAGGED_3)
+
+
+# "§" is UTF-8 C2 A7, "é" is C3 A9 and "運" is E9 81 8B. Searched for as
+# the byte ord(delimiter), "§" would split inside "§" itself, "é" would
+# leave "aéb" and "1é2" whole and would split inside "運".
+NON_ASCII_DELIMITED = [
+    ("§", "a§b\n1§運\n運§2\n"),
+    ("é", "aéb\n1é2\n"),
+    ("é", "a運éb\n運é1\n2é運\n"),
+    ("é", "aébéc\n運é\"xéy\"é\n1é2é3\n"),
+]
+
+
+@pytest.mark.parametrize("delimiter, text", NON_ASCII_DELIMITED)
+def test_non_ascii_delimiter_ingests_as_the_reference(delimiter, text):
+    for has_header in (True, False):
+        opts = IngestOptions(delimiter=delimiter, has_header=has_header, table_name="t")
+        assert_matches_reference(text.encode(), opts)
+
+
+def test_score_on_a_non_ascii_delimited_file(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes("a運éb\nx運é1\ny運é1\nz運é2\n".encode())
+    rules = tmp_path / "rules.json"
+    rules.write_text('{"default": "QI"}')
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["score", "--input", str(path), "--rules", str(rules), "--delimiter", "é",
+                     "--format", "tsv"])
+    assert (code, err.getvalue()) == (0, "")
+    assert out.getvalue().splitlines() == [
+        "table\tcolumn\tuniqueness\tinfluence\tsum",
+        "t\ta運\t1.0000\t0.3333\t1.3333",
+        "t\tb\t0.3333\t0.0000\t0.3333",
+    ]
+
+
 @pytest.mark.parametrize("data", [b"a,b\n1,2\n3,4", b"a,b\n", b"a,b", b"a\n1\n\xc3\xa9"])
 def test_numpy_path_without_a_final_newline_or_rows(tokenized, data):
     assert_matches_reference(data, IngestOptions(table_name="t"))
