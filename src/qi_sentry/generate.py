@@ -42,6 +42,8 @@ class ColumnSpec:
                 f"column name must be non-empty, without leading or trailing whitespace, "
                 f"got {self.name!r}"
             )
+        if "\r" in self.name or "\n" in self.name:
+            raise InvalidSpec(f"column name cannot hold a line break, got {self.name!r}")
         if self.distinct_values < 1:
             raise InvalidSpec(
                 f"column {self.name!r}: distinct_values must be positive, "

@@ -15,17 +15,28 @@ and the row accessors decode them into Python strings on first use.
 Ingest reads the bytes in blocks of about 1 MiB, each cut after its
 last newline. A block with no quote, CR or NUL byte, a one-byte ASCII
 delimiter, the same number of fields on every line, no field over the
-csv field limit and valid UTF-8 is tokenized with numpy: each field
-becomes a zero-padded key and each column of the block is factorized
-with ``np.unique``, unless one column's keys would take more than
-``_KEY_BYTES``. The first block that breaks any of these rules, and
-everything after it, is decoded block by block and read as lines by
-``csv.reader``, which is the only parser that reads quoted fields or CR
-line endings and the one place that reports malformed records. Faults
-are reported in record order: the records read before a malformed
-record or invalid UTF-8 are checked for ragged rows first. Both parsers
-feed the same per-column merge, so canonicalizing a value and merging
-equal canonical values happen once per distinct raw value.
+csv field limit and valid UTF-8 is tokenized with numpy, unless one
+column's zero-padded fields would take more than ``_KEY_BYTES``. The
+first block that breaks any of these rules, and everything after it,
+is decoded block by block and read as lines by ``csv.reader``, which is
+the only parser that reads quoted fields or CR line endings and the one
+place that reports malformed records. Faults are reported in record
+order: the records read before a malformed record or invalid UTF-8 are
+checked for ragged rows first.
+
+Both parsers feed one merge of byte keys, in numpy calls only. The
+cells of a ``csv.reader`` chunk are joined back into UTF-8 bytes, each
+ended by 0xff and with NUL written as 0xfe, neither of which UTF-8
+holds. Each field's start and length are moved past its leading and
+trailing ASCII whitespace, so the keys are canonical. Each column of a
+block or chunk is factorized with ``np.unique`` on zero-padded keys:
+``uint64`` up to 8 bytes, and above that ``S{w}`` in width classes of
+powers of two, so no key is padded to more than twice its length. At
+the end, one ``np.unique`` per class merges a column's keys across
+blocks. Equal values have equal lengths and so meet in one class. The
+empty key and the NA token become missing, and each distinct value is
+decoded to a ``str`` once. Values are ordered by class, then by key,
+with missing last.
 
 Cell comparison everywhere downstream is exact, case-sensitive string
 equality: ``"72"`` and ``"72.0"`` are different symbols on purpose.
@@ -38,7 +49,7 @@ import io
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count, islice
-from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -209,9 +220,10 @@ class Table:
         pairs = list(columns.items()) if isinstance(columns, Mapping) else list(columns)
         coded = []
         for col_name, cells in pairs:
-            first_rows: dict[CellValue, int] = {}
-            codes = _first_row_codes(first_rows, cells, 0)
-            coded.append((col_name, *_densify(first_rows, codes, canonicalize)))
+            canonical = list(map(canonicalize, cells))
+            ids = dict(zip(dict.fromkeys(canonical), count()))
+            codes = np.fromiter(map(ids.__getitem__, canonical), np.int32, len(canonical))
+            coded.append((col_name, tuple(ids), codes))
         return cls.from_codes(name, coded, declared_classes)
 
     @classmethod
@@ -266,53 +278,30 @@ class Table:
 
         Re-ingesting the output with the same options yields an equal
         table, provided no present value equals the sentinel itself.
+        Raises :class:`IngestError` for a name or value holding a CR that
+        csv would leave unquoted, since it would read back as a line end.
         """
         opts = options or IngestOptions()
+        names = self.column_names if opts.has_header else ()
+        texts = [[opts.na_token if v is None else v for v in values] for values in self.values]
+        if "\r" in "".join(chain(names, *texts)):
+            for text in (t for t in chain(names, *texts) if "\r" in t):
+                # ending lines with LF, csv quotes a field for an LF but not for a bare CR
+                probe = io.StringIO()
+                csv.writer(probe, delimiter=opts.delimiter, lineterminator="\n").writerow([text])
+                if not probe.getvalue().startswith('"'):
+                    raise IngestError(f"cannot write {text!r}: its CR would read back as a line end")
         out = io.StringIO()
         writer = csv.writer(out, delimiter=opts.delimiter, lineterminator="\n")
         if opts.has_header:
-            writer.writerow(self.column_names)
-        columns = [
-            _decode([opts.na_token if v is None else v for v in values], codes)
-            for values, codes in zip(self.values, self.codes)
-        ]
-        writer.writerows(zip(*columns))
+            writer.writerow(names)
+        writer.writerows(zip(*(_decode(t, codes) for t, codes in zip(texts, self.codes))))
         return out.getvalue()
 
 
 def _decode(values: Sequence[object], codes: np.ndarray) -> list:
     """``[values[c] for c in codes]``, with one numpy take."""
     return np.array(values, dtype=object)[codes].tolist()
-
-
-def _first_row_codes(first_rows: dict, cells: Iterable, row: int) -> np.ndarray:
-    """Code each cell as the row where its value first occurs.
-
-    ``row`` is the row number of the first cell; ``first_rows`` maps each
-    value seen so far to its first row and is extended in place.
-    """
-    return np.fromiter(map(first_rows.setdefault, cells, count(row)), dtype=np.int32)
-
-
-def _densify(
-    first_rows: dict, codes: np.ndarray, canonical: Callable[[object], CellValue]
-) -> tuple[tuple[CellValue, ...], np.ndarray]:
-    """Distinct canonical values and dense codes, from row codes.
-
-    ``first_rows`` maps each distinct raw value to one row where it
-    occurs, and ``codes`` holds that row for every cell. Each distinct
-    raw value is canonicalized once; raw values with the same canonical
-    form share one code.
-    """
-    ids: dict[CellValue, int] = {}
-    dense = np.fromiter(
-        (ids.setdefault(canonical(raw), len(ids)) for raw in first_rows),
-        dtype=np.int32,
-        count=len(first_rows),
-    )
-    by_first_row = np.empty(len(codes), dtype=np.int32)
-    by_first_row[np.fromiter(first_rows.values(), dtype=np.intp, count=len(first_rows))] = dense
-    return tuple(ids), by_first_row[codes]
 
 
 def _take(
@@ -334,11 +323,12 @@ def _take(
 
 
 class _Columns:
-    """Row codes of every column, merged across the records parsed so far.
+    """Byte keys of every column, merged across the records parsed so far.
 
-    ``first_rows[j]`` maps each distinct raw string of column j to one
-    row where it occurs, and ``parts[j]`` holds that row for every cell,
-    block by block. Both parsers add to it.
+    ``keys[j]`` holds column j's distinct canonical keys, block by block
+    and in width classes (uint64 for up to 8 bytes, ``S{w}`` of a power of
+    two ``w`` above), and ``parts[j]`` holds, for every cell, the index of
+    its key in their concatenation. Both parsers add to it.
     """
 
     def __init__(self, first: list[str] | None, has_header: bool):
@@ -361,7 +351,7 @@ class _Columns:
             if name.lower() in seen:
                 raise IngestError(f"duplicate column name {name!r}", row=1)
             seen.add(name.lower())
-        self.first_rows: list[dict[str, int]] = [{} for _ in self.names]
+        self.keys: list[list[np.ndarray]] = [[] for _ in self.names]
         self.parts: list[list[np.ndarray]] = [[np.empty(0, dtype=np.int32)] for _ in self.names]
         self.rows = 0
         self.first_record = 1 + has_header  # 1-based number of the record holding row 0
@@ -378,43 +368,79 @@ class _Columns:
                 f"ragged row: {len(chunk[bad])} fields, expected {width}",
                 row=self.next_record + bad,
             )
-        for seen, part, cells in zip(self.first_rows, self.parts, zip(*chunk)):
-            part.append(_first_row_codes(seen, cells, self.rows))
-        self.rows += len(chunk)
+        if chunk:
+            # each field ends in 0xff and NUL becomes 0xfe: UTF-8 holds neither byte,
+            # and zero-padded keys could not tell "x\0" from "x"
+            text = "\udcff".join([*chain.from_iterable(chunk), ""])
+            data = text.encode("utf-8", "surrogateescape").replace(b"\0", b"\xfe")
+            ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 0xFF)
+            lengths = np.diff(ends, prepend=-1) - 1
+            self.add_fields(*_split(data, ends, lengths, width, b"\xff"))
 
     def add_fields(self, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> None:
         """Add the records whose fields start at ``starts`` in ``buf`` (columns x records)."""
-        rows = np.arange(self.rows, self.rows + starts.shape[1])
-        for seen, part, column_starts, column_lengths in zip(
-            self.first_rows, self.parts, starts, lengths
+        for keys, part, column_starts, column_lengths in zip(
+            self.keys, self.parts, starts, lengths
         ):
-            keys = _field_keys(buf, column_starts, column_lengths)
-            distinct, inverse = np.unique(keys, return_inverse=True)
-            # any row holding a key identifies it: no other key shares that row
-            row_of = np.empty(len(distinct), dtype=np.int64)
-            row_of[inverse] = rows
-            raw = distinct.view("S8") if distinct.dtype.kind == "u" else distinct
-            # fields hold no newline, and a block's fields are valid UTF-8
-            text = b"\n".join(raw.tolist()).decode("utf-8").split("\n")
-            part.append(
-                np.fromiter(
-                    map(seen.setdefault, text, row_of.tolist()), dtype=np.int32, count=len(text)
-                )[inverse]
-            )
+            codes = np.empty(len(column_starts), dtype=np.int32)
+            classes = [slice(None)]  # fields of up to 8 bytes: one class of uint64 keys
+            if column_lengths.max() > 8:
+                # keys in width classes of powers of two: none is padded to over twice its bytes
+                exponents = np.frexp(np.maximum(column_lengths, 8) - 1)[1]
+                classes = [exponents == e for e in np.flatnonzero(np.bincount(exponents))]
+            for rows in classes:
+                distinct, inverse = np.unique(
+                    _field_keys(buf, column_starts[rows], column_lengths[rows]),
+                    return_inverse=True,
+                )
+                codes[rows] = inverse + sum(map(len, keys))
+                keys.append(distinct)
+            part.append(codes)
         self.rows += starts.shape[1]
 
     def table(self, opts: IngestOptions) -> Table:
-        def canonical(raw: str) -> CellValue:
-            value = canonicalize(raw)
-            return None if value == opts.na_token else value
-
+        # a lone surrogate (an undecodable byte of the command line) becomes bytes
+        # that valid UTF-8 never holds, so it matches no field
+        na = opts.na_token.encode("utf-8", "surrogatepass").replace(b"\0", b"\xfe")
         return Table.from_codes(
             opts.table_name,
             [
-                (name, *_densify(seen, np.concatenate(part), canonical))
-                for name, seen, part in zip(self.names, self.first_rows, self.parts)
+                (name, *_merge(keys, np.concatenate(part), na))
+                for name, keys, part in zip(self.names, self.keys, self.parts)
             ],
         )
+
+
+def _merge(
+    keys: list[np.ndarray], slots: np.ndarray, na: bytes
+) -> tuple[list[CellValue], np.ndarray]:
+    """A column's distinct values and codes, from its blocks' keys and each cell's slot.
+
+    ``slots`` indexes the concatenation of ``keys``. Equal keys are in the
+    same width class, so one ``np.unique`` per class merges them. The
+    empty key and ``na`` are missing, which is coded last.
+    """
+    sizes = [len(k) for k in keys]
+    ids = np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1])
+    widths = [1 << (k.itemsize - 1).bit_length() for k in keys]
+    code_of = np.empty(sum(sizes), dtype=np.int32)
+    values: list[np.ndarray] = []
+    kept_so_far = 0
+    for width in sorted(set(widths)):
+        same = [i for i, w in enumerate(widths) if w == width]
+        distinct, inverse = np.unique(np.concatenate([keys[i] for i in same]), return_inverse=True)
+        raw = distinct.view("S8") if distinct.dtype.kind == "u" else distinct
+        kept = (raw != b"") & (raw != na)
+        code = np.where(kept, kept_so_far + np.cumsum(kept) - 1, -1)
+        code_of[np.concatenate([ids[i] for i in same])] = code[inverse]
+        values.append(raw[kept])
+        kept_so_far += len(values[-1])
+    missing = code_of < 0
+    code_of[missing] = kept_so_far
+    # fields hold no 0xff, and 0xfe only for NUL
+    text = b"\xff".join([*chain.from_iterable(v.tolist() for v in values), b""])
+    decoded = text.decode("utf-8", "surrogateescape").replace("\udcfe", "\0").split("\udcff")
+    return decoded[:-1] + [None] * bool(missing.any()), code_of[slots]
 
 
 def _blocks(stream: IO[bytes]) -> Iterator[bytes]:
@@ -465,19 +491,48 @@ def _tokenize(
     ends = ends.reshape(-1, width)
     if not ends[:, -1].all() or ends[:, :-1].any():
         return None
-    starts = np.empty_like(seps)
-    starts[0] = 0
-    starts[1:] = seps[:-1] + 1
-    lengths = seps - starts
+    lengths = np.diff(seps, prepend=np.int32(-1)) - 1
     longest = int(lengths.max())
     if longest > csv.field_size_limit() or (width == 1 and not lengths.all()):
         return None
     if len(ends) * max(8, longest) > _KEY_BYTES:
         return None
-    buf = np.zeros(len(data) + max(8, longest), dtype=np.uint8)
-    buf[: len(data)] = data
+    return _split(block, seps, lengths, width, b"\n" + bytes([delimiter]))
+
+
+def _split(
+    data: bytes, ends: np.ndarray, lengths: np.ndarray, width: int, separators: bytes
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``data`` zero-padded at the end, and the start and length of its fields, trimmed.
+
+    The fields are ``lengths`` long and end at ``ends``, where one of
+    ``separators`` is. Starts and lengths are shaped (width, records).
+    """
+    starts = ends - lengths
+    buf = np.zeros(len(data) + max(8, int(lengths.max())), dtype=np.uint8)
+    buf[: len(data)] = np.frombuffer(data, dtype=np.uint8)
     # one contiguous row per column, for the per-column gathers
-    return buf, starts.reshape(-1, width).T.copy(), lengths.reshape(-1, width).T.copy()
+    starts, lengths = starts.reshape(-1, width).T.copy(), lengths.reshape(-1, width).T.copy()
+    if any(byte in data for byte in _ASCII_WS.encode() if byte not in separators):
+        starts, lengths = _trim(buf, starts, lengths)
+    return buf, starts, lengths
+
+
+def _trim(
+    buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and lengths of the fields with leading and trailing ASCII whitespace cut off.
+
+    No whitespace byte occurs inside a UTF-8 character.
+    """
+    ends = starts + lengths
+    white = np.isin(buf, np.frombuffer(_ASCII_WS.encode(), dtype=np.uint8))
+    at = np.arange(len(buf))
+    after = np.minimum.accumulate(np.where(white, len(buf), at)[::-1])[::-1]  # next non-white
+    before = np.maximum.accumulate(np.where(white, -1, at))  # last non-white so far
+    first = np.minimum(after[starts], ends)
+    last = np.maximum(np.minimum(before[ends - 1] + 1, ends), first)
+    return first, last - first
 
 
 def _field_keys(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -498,8 +553,8 @@ def ingest_delimited(source: bytes | IO[bytes], options: IngestOptions | None = 
     ``source`` is a byte string or binary stream; UTF-8 only, with a BOM
     stripped if present. Empty fields and the sentinel become missing.
     The stream is read in blocks of about 1 MiB, each cut after a
-    newline, and each column is factorized as it is read, so no cell is
-    kept as its own string. Blocks free of quote, CR and NUL bytes are
+    newline, and each column is factorized on byte keys as it is read,
+    so no cell is kept as its own string. Blocks free of quote, CR and NUL bytes are
     split into fields with numpy, as long as every line has the same
     number of fields, no field is longer than the csv field limit and
     the bytes are valid UTF-8 (and as long as its padded keys fit in
@@ -511,15 +566,16 @@ def ingest_delimited(source: bytes | IO[bytes], options: IngestOptions | None = 
     parser rejects (a field over its size limit, a quote left open at
     the end of the input, text after a closing quote) and ragged rows
     (``row`` carries the 1-based record number, counting the header as
-    record 1). Of several faults, the first in record order is raised;
-    invalid UTF-8 is placed only to within the 8 KiB that are decoded
-    at a time, so a ragged row shortly before it may go unreported.
+    record 1). Of several faults, the first in record order is raised.
+    Invalid UTF-8 is reported with its byte offset and line in the input.
     """
     opts = options or IngestOptions()
 
     stream = io.BytesIO(source) if isinstance(source, bytes) else source
     blocks = _blocks(stream)
-    blocks = chain([next(blocks, b"").removeprefix(_BOM)], blocks)
+    head = next(blocks, b"")
+    offset = len(_BOM) if head.startswith(_BOM) else 0  # in the input, of the next block
+    blocks = chain([head[offset:]], blocks)
     columns: _Columns | None = None
     block = b""
     if opts.delimiter.isascii():
@@ -535,10 +591,13 @@ def ingest_delimited(source: bytes | IO[bytes], options: IngestOptions | None = 
                 starts, lengths = starts[:, opts.has_header :], lengths[:, opts.has_header :]
             if starts.shape[1]:
                 columns.add_fields(buf, starts, lengths)
+            offset += len(block)
         else:
             return columns.table(opts)
 
-    records = csv.reader(_lines(chain([block], blocks)), delimiter=opts.delimiter, strict=True)
+    line = 1 if columns is None else columns.next_record  # numpy reads one record per line
+    lines = _lines(chain([block], blocks), offset, line)
+    records = csv.reader(lines, delimiter=opts.delimiter, strict=True)
     if columns is None:
         first, fault = _take(records, 1, 1)
         if fault:
@@ -555,15 +614,30 @@ def ingest_delimited(source: bytes | IO[bytes], options: IngestOptions | None = 
             return columns.table(opts)
 
 
-def _lines(blocks: Iterable[bytes]) -> Iterator[str]:
+def _lines(blocks: Iterable[bytes], offset: int, line: int) -> Iterator[str]:
     """The lines of ``blocks``, each block decoded on its own.
 
     Blocks end on a newline, so no UTF-8 character and no CRLF spans two.
-    Lines end on CR, LF or CRLF, as csv.reader expects.
+    Lines end on CR, LF or CRLF, as csv.reader expects. The first block
+    starts at byte ``offset`` of the input, on its line ``line``
+    (1-based). Invalid UTF-8 ends the lines, after every line before it.
     """
     for block in blocks:
-        with io.TextIOWrapper(io.BytesIO(block), encoding="utf-8", newline="") as text:
-            try:
-                yield from text
-            except UnicodeDecodeError as exc:
-                raise IngestError(f"input is not valid UTF-8: {exc}") from None
+        try:
+            text = block.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            before = block[: exc.start]
+            whole = max(before.rfind(b"\n"), before.rfind(b"\r")) + 1  # the lines before its own
+            yield from io.StringIO(before[:whole].decode("utf-8"), newline="")
+            raise IngestError(
+                f"input is not valid UTF-8 at byte {offset + exc.start} "
+                f"(line {line + _line_breaks(before)}): {exc.reason}"
+            ) from None
+        yield from io.StringIO(text, newline="")
+        offset += len(block)
+        line += _line_breaks(block)
+
+
+def _line_breaks(data: bytes) -> int:
+    """How many CR, LF and CRLF line endings ``data`` holds."""
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")

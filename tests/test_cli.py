@@ -600,6 +600,20 @@ def test_generate_column_name_that_reads_back_otherwise_is_one_error_line_and_ex
     assert not output.exists()
 
 
+@pytest.mark.parametrize("name", ["a\rb", "a\nb"])
+def test_generate_column_name_with_a_line_break_is_one_error_line_and_exit_2(
+    workspace, capsys, name
+):
+    # csv writes a bare CR unquoted, so "a\rb" would read back as a column "a" and a row "b"
+    path = workspace / "crspec.json"
+    path.write_text(json.dumps({"rows": 5, "columns": [{"name": name, "distinct_values": 3}]}))
+    output = workspace / "out.csv"
+    code, out, err = run(capsys, "generate", "--spec", str(path), "--output", str(output))
+    assert (code, out) == (2, "")
+    assert err == f"error: column name cannot hold a line break, got {name!r}\n"
+    assert not output.exists()
+
+
 def test_generate_rules_out_keeps_every_hint_of_names_with_glob_characters(workspace, capsys):
     hints = {"a*": "SA", "a?": "DID", "ab": "QI", "[x]": "QI", "a,b": "QI", "x": "NSA"}
     spec = {"rows": 20, "columns": [

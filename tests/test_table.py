@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -539,6 +540,135 @@ def test_padded_spellings_merge_into_one_value_on_the_numpy_path(monkeypatch, to
     assert all(tokenized)
 
 
+# -- the merge of byte keys, fed by both parsers ------------------------------
+
+MERGE_CASES = [
+    # whitespace-only fields
+    ([" ", "\t", " \t\x0b\x0c ", "x"], (None, None, None, "x")),
+    # the NA token padded with spaces and tabs
+    ([" NA", "NA\t", "\t NA  ", "NA", "xNA", "N A"], (None, None, None, None, "xNA", "N A")),
+    # non-ASCII cells next to ASCII whitespace
+    ([" \u00e9", "\u904b\t", "\u00e9", "\u00a0x ", "\u904b"],
+     ("\u00e9", "\u904b", "\u00e9", "\u00a0x", "\u904b")),
+    # keys of up to 8 bytes and wider ones that trim down to them
+    (["abcdefgh ", " abcdefgh", "abcdefgh", "  abcdefghi  ", "abcdefghi", "x" * 20 + " "],
+     ("abcdefgh",) * 3 + ("abcdefghi",) * 2 + ("x" * 20,)),
+]
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+@pytest.mark.parametrize("cells, expected", MERGE_CASES)
+def test_canonical_values_merge_on_both_parsers(tokenized, quoted, cells, expected):
+    # the quoted copy has quotes, so csv.reader reads it; the plain one is split by numpy
+    data = "v\n" + "".join(f'"{cell}"\n' if quoted else f"{cell}\n" for cell in cells)
+    table = ingest_delimited(data.encode())
+    assert tokenized == [not quoted]
+    assert table.column_values("v") == expected
+    assert sorted(table.values[0], key=str) == sorted(set(expected), key=str)
+    assert_matches_reference(data.encode(), IngestOptions(table_name="t"))
+
+
+def test_a_value_split_by_numpy_and_again_read_by_csv_reader_is_one_value(
+    monkeypatch, tokenized
+):
+    monkeypatch.setattr(table_module, "_BLOCK_BYTES", 1)  # one line per block
+    data = b'a,a,a,a\na,a,a,a\na,a,a,a\na,a,a,"q""t"\n'
+    table = ingest_delimited(data, IngestOptions(has_header=False))
+    assert tokenized == [True, True, True, False]
+    assert table.cells == (("a",) * 4,) * 3 + (("a", "a", "a", 'q"t'),)
+    assert [len(values) for values in table.values] == [1, 1, 1, 2]
+
+
+def test_a_value_among_wider_keys_in_one_block_merges_with_it_in_another(
+    monkeypatch, tokenized
+):
+    # block 1 also holds a 19-byte field, block 2 only the 9-byte value; keys are padded
+    # to a power-of-two width class, not to their block's longest field
+    monkeypatch.setattr(table_module, "_BLOCK_BYTES", 32)
+    data = b"v\nabcdefghi\n" + b"x" * 19 + b"\nabcdefghi\n"
+    table = ingest_delimited(data)
+    assert tokenized == [True, True]
+    assert table.column_values("v") == ("abcdefghi", "x" * 19, "abcdefghi")
+    assert len(table.values[0]) == 2
+
+
+def test_one_long_field_does_not_widen_every_key(tokenized):
+    # csv.reader reads the quoted field; padding every key of its chunk to
+    # 50,000 bytes would take 200 MB
+    data = b"v\n" + b"".join(b"%d\n" % i for i in range(4000)) + b'"' + b"x" * 50_000 + b'"\n'
+    tracemalloc.start()
+    try:
+        table = ingest_delimited(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tokenized == [False]
+    assert len(table.values[0]) == 4001
+    assert peak < 10 << 20
+
+
+def test_trailing_nul_keeps_a_value_apart_on_the_csv_path(tokenized):
+    # csv.reader passes NUL through; zero-padded keys alone would merge "x\0" into "x"
+    data = b'v\n"x\0"\nx\nx\0\0\n\0\n" \0 "\nNA\0\n'
+    table = ingest_delimited(data)
+    assert tokenized == [False]
+    assert table.column_values("v") == ("x\0", "x", "x\0\0", "\0", "\0", "NA\0")
+    assert len(table.values[0]) == 5
+    assert ingest_delimited(data, IngestOptions(na_token="NA\0")).column_values("v")[-1] is None
+
+
+def test_ingest_canonicalizes_no_value_in_python(monkeypatch, tokenized):
+    calls = []
+    monkeypatch.setattr(table_module, "canonicalize", lambda raw: calls.append(raw))
+    data = b"a,b\n" + b"".join(b"%d, v%d \n" % (i, i) for i in range(1000))
+    table = ingest_delimited(data)
+    assert [len(values) for values in table.values] == [1000, 1000]
+    assert table.column_values("b")[:2] == ("v0", "v1")
+    assert all(tokenized) and calls == []
+
+
+def test_invalid_utf8_is_placed_at_its_byte_and_line():
+    data = b'a,b\n"q",1\n' + b"3,4\n" * 3000 + b"\xff,2\n"
+    with pytest.raises(IngestError) as exc:
+        ingest_delimited(data)
+    assert exc.value.row is None
+    assert str(exc.value) == "input is not valid UTF-8 at byte 12010 (line 3003): invalid start byte"
+
+
+@pytest.mark.parametrize("block", [1 << 20, 8])
+def test_invalid_utf8_after_numpy_blocks_and_a_bom_is_placed_in_the_input(
+    monkeypatch, tokenized, block
+):
+    monkeypatch.setattr(table_module, "_BLOCK_BYTES", block)
+    data = b"\xef\xbb\xbfa,b\n" + b"1,2\n" * 10 + b"3,\xc3\n"
+    with pytest.raises(IngestError) as exc:
+        ingest_delimited(data)
+    assert str(exc.value) == "input is not valid UTF-8 at byte 49 (line 12): invalid continuation byte"
+    assert any(tokenized) == (block == 8)
+
+
+def test_ragged_row_just_before_invalid_utf8_is_reported():
+    with pytest.raises(IngestError) as exc:
+        ingest_delimited(b"a,b\n1,2\n1\n\xff,2\n")
+    assert (exc.value.row, str(exc.value)) == (3, RAGGED_3)
+
+
+def test_to_delimited_refuses_a_cr_that_would_read_back_as_a_line_end():
+    tables = [
+        (Table.from_rows("t", ["a"], [["x\ry"]]), IngestOptions()),
+        (Table.from_rows("t", ["a\rb"], [["x"]]), IngestOptions()),
+        (Table.from_rows("t", ["a"], [[None]]), IngestOptions(na_token="N\rA")),
+    ]
+    for table, options in tables:
+        with pytest.raises(IngestError) as exc:
+            table.to_delimited(options)
+        assert "CR would read back as a line end" in str(exc.value)
+    # a CR in a field that csv quotes for another reason reads back
+    table = Table.from_rows("t", ["a"], [["x\r\ny"], ["x,\ry"], ['x"\r']])
+    assert ingest_delimited(table.to_delimited().encode()).cells == table.cells
+    assert Table.from_rows("t", ["a\rb"], [["x"]]).to_delimited(IngestOptions(has_header=False))
+
+
 @pytest.mark.parametrize("delimiter", ['"', "\r", "\n"])
 def test_quote_and_line_break_delimiters_rejected(delimiter):
     with pytest.raises(IngestError) as exc:
@@ -556,7 +686,8 @@ def test_options_reject_a_delimiter_that_cannot_be_written_and_read_back(delimit
 
 # -- fuzz gate: arbitrary bytes ingest as the reference does, or fail cleanly --
 
-FUZZ_PIECES = [b'"', b"\r", b"\n", b"\0", b",", b"\t", b" ", b"\xff", b"\xc3", b"\xef\xbb\xbf", b""]
+FUZZ_PIECES = [b'"', b"\r", b"\n", b"\0", b",", b"\t", b" ", b"\xff", b"\xc3", b"\xef\xbb\xbf", b"",
+               b"NA", b"\x0b"]
 
 
 @st.composite
