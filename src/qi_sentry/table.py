@@ -383,9 +383,11 @@ class _Columns:
             self.keys, self.parts, starts, lengths
         ):
             codes = np.empty(len(column_starts), dtype=np.int32)
-            classes = [slice(None)]  # fields of up to 8 bytes: one class of uint64 keys
-            if column_lengths.max() > 8:
-                # keys in width classes of powers of two: none is padded to over twice its bytes
+            # keys in width classes, uint64 up to 8 bytes and then powers of two, so none is
+            # padded to over twice its bytes; often a column's fields all fall in one
+            shortest, longest = max(8, int(column_lengths.min())), int(column_lengths.max())
+            classes = [slice(None)]
+            if (shortest - 1).bit_length() < (longest - 1).bit_length():
                 exponents = np.frexp(np.maximum(column_lengths, 8) - 1)[1]
                 classes = [exponents == e for e in np.flatnonzero(np.bincount(exponents))]
             for rows in classes:
@@ -513,26 +515,44 @@ def _split(
     buf[: len(data)] = np.frombuffer(data, dtype=np.uint8)
     # one contiguous row per column, for the per-column gathers
     starts, lengths = starts.reshape(-1, width).T.copy(), lengths.reshape(-1, width).T.copy()
+    # a scan per whitespace byte costs far less than _trim's gather per field
     if any(byte in data for byte in _ASCII_WS.encode() if byte not in separators):
-        starts, lengths = _trim(buf, starts, lengths)
+        _trim(buf, starts.reshape(-1), lengths.reshape(-1))
     return buf, starts, lengths
 
 
-def _trim(
-    buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Starts and lengths of the fields with leading and trailing ASCII whitespace cut off.
+def _trim(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> None:
+    """Move the fields' starts and lengths past leading and trailing ASCII whitespace, in place.
 
+    Reads a byte at each edge of every field, and about the whitespace
+    at the edges beyond that; no run is followed past its field's end.
     No whitespace byte occurs inside a UTF-8 character.
     """
-    ends = starts + lengths
-    white = np.isin(buf, np.frombuffer(_ASCII_WS.encode(), dtype=np.uint8))
-    at = np.arange(len(buf))
-    after = np.minimum.accumulate(np.where(white, len(buf), at)[::-1])[::-1]  # next non-white
-    before = np.maximum.accumulate(np.where(white, -1, at))  # last non-white so far
-    first = np.minimum(after[starts], ends)
-    last = np.maximum(np.minimum(before[ends - 1] + 1, ends), first)
-    return first, last - first
+
+    def white(data: np.ndarray) -> np.ndarray:  # the bytes of _ASCII_WS: space, and 9-13
+        return (data == 32) | (data - np.uint8(9) < 5)
+
+    for leading in (True, False):
+        # while over an eighth of the fields have whitespace at this edge, cut a byte off
+        # each, over whole arrays
+        while 8 * np.count_nonzero(
+            cut := white(buf.take(starts if leading else starts + lengths - 1)) & (lengths > 0)
+        ) > len(cut):
+            if leading:
+                starts += cut
+            lengths -= cut
+        # then the few, through a window at the edge that doubles while it holds only whitespace
+        fields, window = np.flatnonzero(cut), 1
+        while len(fields):
+            ahead = np.arange(window, dtype=starts.dtype)
+            edge = starts[fields] if leading else starts[fields] + lengths[fields] - 1
+            inside = white(buf.take(edge[:, None] + (ahead if leading else -ahead), mode="clip"))
+            inside &= ahead < lengths[fields, None]  # clipped or past the field: not its bytes
+            run = np.where(inside.all(axis=1), window, inside.argmin(axis=1)).astype(starts.dtype)
+            if leading:
+                starts[fields] += run
+            lengths[fields] -= run
+            fields, window = fields[run == window], 2 * window
 
 
 def _field_keys(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

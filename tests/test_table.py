@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -553,6 +554,10 @@ MERGE_CASES = [
     # keys of up to 8 bytes and wider ones that trim down to them
     (["abcdefgh ", " abcdefgh", "abcdefgh", "  abcdefghi  ", "abcdefghi", "x" * 20 + " "],
      ("abcdefgh",) * 3 + ("abcdefghi",) * 2 + ("x" * 20,)),
+    # runs of every length up to thousands: a byte off every field per step while many
+    # fields have one at an edge, then a doubling window for the few left
+    ([" " * k + "v" + "\t" * (k % 4) for k in range(12)] + ["w"] * 60
+     + [" " * 3000 + "y" + "\t\x0b" * 700], ("v",) * 12 + ("w",) * 60 + ("y",)),
 ]
 
 
@@ -566,6 +571,17 @@ def test_canonical_values_merge_on_both_parsers(tokenized, quoted, cells, expect
     assert table.column_values("v") == expected
     assert sorted(table.values[0], key=str) == sorted(set(expected), key=str)
     assert_matches_reference(data.encode(), IngestOptions(table_name="t"))
+
+
+def test_runs_of_whitespace_stop_at_separators(tokenized):
+    # blank tab-delimited fields make the block one run of whitespace; a trim whose runs
+    # went past separators would take a step per byte of it, about a minute here
+    data = b"a\tb\tc\n" + b" \t \t \n" * 20_000
+    start = time.perf_counter()
+    table = ingest_delimited(data, IngestOptions(delimiter="\t"))
+    assert time.perf_counter() - start < 5
+    assert table.values == ((None,),) * 3
+    assert all(tokenized)
 
 
 def test_a_value_split_by_numpy_and_again_read_by_csv_reader_is_one_value(
