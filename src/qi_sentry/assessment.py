@@ -62,7 +62,8 @@ def _check_bools(name: str, values: Sequence[object], expected: int) -> tuple[bo
 
 
 def _check_tenure(tenure_years: float) -> None:
-    if not math.isfinite(tenure_years):
+    # an int is finite, even one too large for a float, and compares exactly
+    if isinstance(tenure_years, float) and not math.isfinite(tenure_years):
         raise InvalidForm(f"tenure_years must be finite, got {tenure_years}")
     if tenure_years < 0:
         raise InvalidForm(f"tenure_years must be non-negative, got {tenure_years}")

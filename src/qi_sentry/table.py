@@ -15,10 +15,9 @@ and the row accessors decode them into Python strings on first use.
 Ingest reads the bytes in blocks of about 1 MiB, each cut after its
 last newline. A block with no quote, CR or NUL byte, a one-byte ASCII
 delimiter, the same number of fields on every line, no field over the
-csv field limit and valid UTF-8 is tokenized with numpy, unless one
-column's zero-padded fields would take more than ``_KEY_BYTES``. The
-first block that breaks any of these rules, and everything after it,
-is decoded block by block and read as lines by ``csv.reader``, which is
+csv field limit and valid UTF-8 is tokenized with numpy. The first
+block that breaks any of these rules, and everything after it, is
+decoded block by block and read as lines by ``csv.reader``, which is
 the only parser that reads quoted fields or CR line endings and the one
 place that reports malformed records. Faults are reported in record
 order: the records read before a malformed record or invalid UTF-8 are
@@ -76,12 +75,6 @@ _CHUNK_RECORDS = 4096
 # of 256 KiB, 1 MiB, 4 MiB and 16 MiB, in about the same time.
 _BLOCK_BYTES = 1 << 20
 
-# The most bytes of padded keys one column of a block may take in the
-# numpy tokenizer: (records in the block) x (its longest field, at least
-# 8). A block over it goes to csv.reader, so memory stays bounded when a
-# few long fields sit among many short records.
-_KEY_BYTES = 8 << 20
-
 _BOM = b"\xef\xbb\xbf"
 
 # _LOW_BYTES[k] keeps the first k bytes of a little-endian uint64 key
@@ -103,7 +96,8 @@ class IngestOptions:
 
     Raises :class:`IngestError` for a delimiter that is not one
     character or is a quote or line break: csv cannot write such a
-    delimiter so that it reads back.
+    delimiter so that it reads back, and for an ``na_token`` with ASCII
+    whitespace at an edge, which no trimmed cell could match.
     """
 
     delimiter: str = ","
@@ -118,6 +112,8 @@ class IngestOptions:
             raise IngestError(
                 f"delimiter cannot be a quote or a line break, got {self.delimiter!r}"
             )
+        if self.na_token != self.na_token.strip(_ASCII_WS):
+            raise IngestError(f"NA token cannot start or end with whitespace, got {self.na_token!r}")
 
 
 @dataclass(frozen=True)
@@ -471,8 +467,7 @@ def _tokenize(
     number of columns, or None to take it from the first line. Returns
     None when the block holds a quote, CR or NUL byte or invalid UTF-8,
     when a line has a different number of fields (a blank line included),
-    when a field is longer than the csv field limit, or when one
-    column's padded keys would take more than ``_KEY_BYTES``.
+    or when a field is longer than the csv field limit.
     """
     if b'"' in block or b"\r" in block or b"\0" in block:
         return None
@@ -494,10 +489,7 @@ def _tokenize(
     if not ends[:, -1].all() or ends[:, :-1].any():
         return None
     lengths = np.diff(seps, prepend=np.int32(-1)) - 1
-    longest = int(lengths.max())
-    if longest > csv.field_size_limit() or (width == 1 and not lengths.all()):
-        return None
-    if len(ends) * max(8, longest) > _KEY_BYTES:
+    if lengths.max() > csv.field_size_limit() or (width == 1 and not lengths.all()):
         return None
     return _split(block, seps, lengths, width, b"\n" + bytes([delimiter]))
 
@@ -577,9 +569,8 @@ def ingest_delimited(source: bytes | IO[bytes], options: IngestOptions | None = 
     so no cell is kept as its own string. Blocks free of quote, CR and NUL bytes are
     split into fields with numpy, as long as every line has the same
     number of fields, no field is longer than the csv field limit and
-    the bytes are valid UTF-8 (and as long as its padded keys fit in
-    ``_KEY_BYTES``). The first block that is not, and all that follow
-    it, are read as lines by a strict ``csv.reader``.
+    the bytes are valid UTF-8. The first block that is not, and all that
+    follow it, are read as lines by a strict ``csv.reader``.
 
     Raises :class:`IngestError` for undecodable bytes, zero
     columns, duplicate or empty header names, records the strict csv

@@ -13,7 +13,9 @@ import io
 import json
 import random
 import tempfile
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from qi_sentry import (
@@ -295,7 +297,16 @@ def test_criterion_8_determinism():
             )
         )
         classified = classify(table, ClassificationRules(default_class=ColumnClass.QI))
-        assert score_columns(classified, max_workers=8) == score_columns(classified)
+        serial = score_columns(classified)
+        # tables are safe to share across threads: two, released together, score one at once
+        start = threading.Barrier(2)
+
+        def score_at_once(_):
+            start.wait(timeout=60)
+            return score_columns(classified)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert list(pool.map(score_at_once, range(2))) == [serial, serial]
 
 
 @criterion(9, "full scoring of a 1,000,000 x 30 synthetic table in < 60 s")

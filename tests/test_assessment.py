@@ -181,6 +181,14 @@ def test_form_rejects_non_finite_tenure(tenure):
         score_understanding((True, True, True), tenure)
 
 
+def test_integer_tenure_past_float_range_is_graded_exactly():
+    # 10**400 has no float, so a finiteness check on it would overflow
+    assert score_understanding((True, False, False), 10**400) == 8
+    assert form(tenure_years=10**400).tenure_years == 10**400
+    with pytest.raises(InvalidForm):
+        form(tenure_years=-(10**400))
+
+
 def test_form_rejects_non_numeric_tenure():
     with pytest.raises(InvalidForm):
         form(tenure_years="long")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qi_sentry.cli as cli_module
@@ -348,6 +348,24 @@ def test_assess_json_format(workspace, capsys):
     }
 
 
+@pytest.mark.parametrize("command", ["assess", "select"])
+def test_integer_tenure_past_float_range_grades_as_ten_years(workspace, capsys, command):
+    # 10**400 cannot become a float; it is graded in the [10, inf) bracket, as 10 is
+    outputs = []
+    for tenure in (10**400, 10):
+        path = workspace / f"tenure_{len(str(tenure))}.json"
+        path.write_text(json.dumps(dict(MIDDLE_FORM, tenure_years=tenure)))
+        argv = ["--assessment", str(path), "--format", "json"]
+        if command == "select":
+            argv += ["--input", str(workspace / "demo.csv"), "--rules", str(workspace / "rules.json"),
+                     "--no-timestamp"]
+        outputs.append(run(capsys, command, *argv))
+    assert outputs[0] == outputs[1]
+    code, out, err = outputs[0]
+    assert (code, err) == (0, "")
+    assert json.loads(out)["grade"] == "High"
+
+
 # -- select ------------------------------------------------------------------------
 
 def select_args(workspace, form="high.json", *extra):
@@ -525,6 +543,21 @@ def test_bad_delimiter_is_one_error_line_and_exit_2(workspace, capsys, command, 
     assert out == ""
     assert err.startswith("error: delimiter ")
     assert err.count("\n") == 1
+    assert not output.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "score"])
+def test_na_token_with_edge_whitespace_is_one_error_line_and_exit_2(workspace, capsys, command):
+    spec = workspace / "gspec.json"
+    spec.write_text(json.dumps({"rows": 5, "columns": [{"name": "a", "distinct_values": 3}]}))
+    output = workspace / "out.csv"
+    if command == "generate":
+        argv = ["generate", "--spec", str(spec), "--output", str(output)]
+    else:
+        argv = ["score", "--input", str(workspace / "demo.csv")]
+    code, out, err = run(capsys, *argv, "--na-token", " NA ")
+    assert (code, out) == (2, "")
+    assert err == "error: NA token cannot start or end with whitespace, got ' NA '\n"
     assert not output.exists()
 
 
@@ -780,12 +813,23 @@ def test_golden_output(tmp_path, capsys, case, fmt):
 
 
 # -- fuzz gate: arbitrary and mutated JSON documents fail cleanly or not at all --
-# Integers stay within +-1000, so no generated spec allocates more than a few MB.
 
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-1000, 1000) | st.floats() | st.text(max_size=10),
-    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=10), inner, max_size=5),
-    max_leaves=12,
+
+def json_values(integers):
+    return st.recursive(
+        st.none() | st.booleans() | integers | st.floats() | st.text(max_size=10),
+        lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=10), inner, max_size=5),
+        max_leaves=12,
+    )
+
+
+# Integers stay within +-1000, so no generated spec allocates more than a few MB.
+JSON_VALUES = json_values(st.integers(-1000, 1000))
+# A form allocates nothing by its numbers, so its integers also reach +-10**400, past
+# float range.
+FORM_VALUES = json_values(
+    st.integers(-1000, 1000)
+    | st.builds(lambda sign, digits: sign * 10**digits, st.sampled_from([1, -1]), st.integers(300, 400))
 )
 
 VALID_SPEC = {
@@ -813,8 +857,8 @@ def _slots(node):
 
 
 @st.composite
-def mutations_of(draw, valid):
-    """``valid`` with one to three values replaced, deleted or added."""
+def mutations_of(draw, valid, values):
+    """``valid`` with one to three values, drawn from ``values``, replaced, deleted or added."""
     doc = copy.deepcopy(valid)
     for _ in range(draw(st.integers(1, 3))):
         slots = list(_slots(doc))
@@ -823,18 +867,18 @@ def mutations_of(draw, valid):
         node, key = draw(st.sampled_from(slots))
         action = draw(st.sampled_from(["replace", "delete", "add"]))
         if action == "replace":
-            node[key] = draw(JSON_VALUES)
+            node[key] = draw(values)
         elif action == "delete":
             del node[key]
         elif isinstance(node, dict):
-            node[draw(st.text(max_size=10))] = draw(JSON_VALUES)
+            node[draw(st.text(max_size=10))] = draw(values)
         else:
-            node.insert(key, draw(JSON_VALUES))
+            node.insert(key, draw(values))
     return doc
 
 
-def json_documents(valid):
-    return JSON_VALUES | mutations_of(valid)
+def json_documents(valid, values=JSON_VALUES):
+    return values | mutations_of(valid, values)
 
 
 def run_on_document(tmp_path_factory, doc, argv):
@@ -863,7 +907,8 @@ def test_classify_on_arbitrary_rules_exits_0_or_2(tmp_path_factory, doc):
 
 
 @settings(max_examples=200, deadline=None)
-@given(json_documents(MIDDLE_FORM))
+@given(json_documents(MIDDLE_FORM, FORM_VALUES))
+@example(dict(MIDDLE_FORM, tenure_years=10**400))
 def test_assess_on_arbitrary_forms_exits_0_or_2(tmp_path_factory, doc):
     run_on_document(tmp_path_factory, doc, ["assess", "--assessment", "{doc}"])
 

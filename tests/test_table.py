@@ -293,11 +293,18 @@ def reference_ingest(data: bytes, opts: IngestOptions) -> tuple[tuple[str, ...],
 # padding, spellings of missing, quoted delimiters, quotes and newlines
 TRICKY = ["a", " a", "a\t", "NA", " NA ", "null", "", "  ", "x,y", "x;y", "x\ty",
           'q"t', "l1\nl2", "r\r\nn", "\u00a0x", "\u00e9"]
-CELL_TEXT = st.one_of(
-    st.sampled_from(TRICKY),
-    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
-            max_size=4),
+CELL_CHARS = st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")
+# long cells reach the wider key classes: 17-40 characters, or a few hundred bytes,
+# each with or without whitespace at its edges
+LONG_CELL = st.builds(
+    lambda before, text, after: before + text + after,
+    st.sampled_from(["", " ", "\t "]),
+    st.text(CELL_CHARS, min_size=17, max_size=40)
+    | st.builds(lambda text, times: text * times, st.text(CELL_CHARS, min_size=1, max_size=3),
+                st.integers(70, 200)),
+    st.sampled_from(["", "  ", "\t"]),
 )
+CELL_TEXT = st.one_of(st.sampled_from(TRICKY), st.text(CELL_CHARS, max_size=4), LONG_CELL)
 
 
 def to_bytes(header, rows, delimiter: str, bom: bool, lineterminator: str = "\r\n") -> bytes:
@@ -344,16 +351,14 @@ def assert_matches_reference(data: bytes, opts: IngestOptions) -> None:
 
 
 @settings(max_examples=400, deadline=None)
-@given(delimited_inputs(), st.integers(1, 5), st.integers(1, 24),
-       st.sampled_from([32, table_module._KEY_BYTES]))
-def test_ingest_matches_reference_parser(case, chunk, block, key_bytes):
+@given(delimited_inputs(), st.integers(1, 5), st.integers(1, 24))
+def test_ingest_matches_reference_parser(case, chunk, block):
     data, opts = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(table_module, "_CHUNK_RECORDS", chunk)  # many chunks per input
         # many blocks per input, so numpy takes the quote-free ones until a quote
-        # or a padded-key budget (a small one here) sends the rest to csv.reader
+        # sends the rest to csv.reader
         patch.setattr(table_module, "_BLOCK_BYTES", block)
-        patch.setattr(table_module, "_KEY_BYTES", key_bytes)
         assert_matches_reference(data, opts)
 
 
@@ -523,13 +528,19 @@ def test_numpy_keys_of_up_to_8_bytes_and_longer():
     assert [len(values) for values in table.values] == [5, 5]
 
 
-def test_long_field_among_many_records_goes_to_csv_reader(tokenized):
-    # 102 records x a 100000-byte widest field: over _KEY_BYTES of padded keys
+def test_long_field_among_many_records_stays_on_the_numpy_path(tokenized):
+    # numpy splits the block; padding all 101 keys to the 100,000-byte field would take
+    # 10 MB, but width classes pad each key to at most twice its own length
     data = b"v\n" + b"x" * 100_000 + b"\n" + b"a\n" * 100
-    table = ingest_delimited(data)
+    tracemalloc.start()
+    try:
+        table = ingest_delimited(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tokenized == [True]
     assert table.column_values("v") == ("x" * 100_000,) + ("a",) * 100
-    assert tokenized == [False]
-    assert table_module._tokenize(data[:-60], ord(","), None) is not None  # 72 records fit
+    assert peak < 4 << 20
 
 
 @pytest.mark.parametrize("block", [1 << 20, 8])
@@ -698,6 +709,20 @@ def test_options_reject_a_delimiter_that_cannot_be_written_and_read_back(delimit
     # reading and writing share this check, so to_delimited never gets such a delimiter
     with pytest.raises(IngestError):
         IngestOptions(delimiter=delimiter)
+
+
+@pytest.mark.parametrize("na_token", [" NA ", "NA\t", " ", "\x0bnull"])
+def test_options_reject_an_na_token_with_edge_whitespace(na_token):
+    # cells are trimmed before they meet the NA token, so this one could never match
+    with pytest.raises(IngestError) as exc:
+        IngestOptions(na_token=na_token)
+    assert str(exc.value) == f"NA token cannot start or end with whitespace, got {na_token!r}"
+
+
+@pytest.mark.parametrize("na_token", ["", "N A", "\u00a0NA"])
+def test_an_na_token_without_edge_ascii_whitespace_matches_padded_cells(na_token):
+    data = f"a\n {na_token} \nx\n".encode()
+    assert ingest_delimited(data, IngestOptions(na_token=na_token)).column_values("a") == (None, "x")
 
 
 # -- fuzz gate: arbitrary bytes ingest as the reference does, or fail cleanly --
