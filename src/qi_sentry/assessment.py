@@ -28,7 +28,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
-from .errors import InvalidForm
+from .errors import InvalidForm, read_json
 
 _LINKAGE_POINTS = {"High": 10, "Mid": 5, "Low": 1}
 _TENURE_BRACKETS = ((10.0, 7), (7.0, 5), (3.0, 3), (0.0, 0))
@@ -189,13 +189,7 @@ def parse_form(doc: dict) -> AssessmentForm:
 
 
 def load_form(path: str | Path) -> AssessmentForm:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InvalidForm(f"cannot read assessment form {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InvalidForm(f"assessment form {path} is not valid JSON: {exc}") from None
-    return parse_form(doc)
+    return parse_form(read_json(path, InvalidForm, "assessment form"))
 
 
 def reference_linkage_grades() -> dict[str, str]:

@@ -17,7 +17,7 @@ from fnmatch import fnmatchcase
 from importlib import resources
 from pathlib import Path
 
-from .errors import RulesError
+from .errors import RulesError, read_json
 from .table import Table
 
 
@@ -143,13 +143,7 @@ def rules_to_doc(rules: ClassificationRules) -> dict:
 
 
 def load_rules(path: str | Path) -> ClassificationRules:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise RulesError(f"cannot read rules file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise RulesError(f"rules file {path} is not valid JSON: {exc}") from None
-    return parse_rules(doc)
+    return parse_rules(read_json(path, RulesError, "rules file"))
 
 
 def default_rules() -> ClassificationRules:

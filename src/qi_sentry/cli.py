@@ -67,7 +67,11 @@ def _emit(fmt: str, doc: object, header: list[str], rows: list[list[str]], text:
     if fmt == "json":
         out = json.dumps(doc, indent=2) + "\n"
     elif fmt == "tsv":
-        out = "".join("\t".join(row) + "\n" for row in [header, *rows])
+        lines = [header, *rows]
+        # TSV has no quoting to keep such a field whole
+        if bad := [f for row in lines for f in row if not {"\t", "\r", "\n"}.isdisjoint(f)]:
+            raise QiSentryError(f"cannot write {bad[0]!r} as TSV: it holds a tab or line break")
+        out = "".join("\t".join(row) + "\n" for row in lines)
     else:
         out = "".join(line + "\n" for line in text)
     sys.stdout.write(out)

@@ -1,6 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the JSON file reader that raises them."""
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 
 class QiSentryError(Exception):
@@ -43,3 +46,15 @@ class RulesError(QiSentryError):
 
 class InvalidSpec(QiSentryError):
     """Raised when a synthetic-table spec is malformed."""
+
+
+def read_json(path: str | Path, error: type[QiSentryError], noun: str) -> object:
+    """The JSON document in the UTF-8 file at ``path``, or ``error`` naming the file as ``noun``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise error(f"cannot read {noun} {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{noun} {path} is not valid UTF-8: {exc.reason} at byte {exc.start}") from None
+    except json.JSONDecodeError as exc:
+        raise error(f"{noun} {path} is not valid JSON: {exc}") from None

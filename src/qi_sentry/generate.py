@@ -12,7 +12,6 @@ bytes out.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import ClassificationRules, ColumnClass, Rule
-from .errors import InvalidSpec
+from .errors import InvalidSpec, read_json
 from .table import Table, canonicalize
 
 _ZIPF_RE = re.compile(r"^zipf\(\s*([0-9.eE+-]+)\s*\)$")
@@ -176,10 +175,4 @@ def parse_spec(doc: dict) -> SyntheticSpec:
 
 
 def load_spec(path: str | Path) -> SyntheticSpec:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InvalidSpec(f"cannot read spec file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InvalidSpec(f"spec file {path} is not valid JSON: {exc}") from None
-    return parse_spec(doc)
+    return parse_spec(read_json(path, InvalidSpec, "spec file"))

@@ -94,10 +94,10 @@ def canonicalize(raw: CellValue) -> CellValue:
 class IngestOptions:
     """Options for reading and writing delimited text.
 
-    Raises :class:`IngestError` for a delimiter that is not one
-    character or is a quote or line break: csv cannot write such a
-    delimiter so that it reads back, and for an ``na_token`` with ASCII
-    whitespace at an edge, which no trimmed cell could match.
+    Raises :class:`IngestError` for a field of the wrong type, a
+    delimiter that is not one character or is a quote or line break
+    (no quoting writes it so that it reads back), or an ``na_token``
+    with ASCII whitespace at an edge, which no trimmed cell could match.
     """
 
     delimiter: str = ","
@@ -106,6 +106,9 @@ class IngestOptions:
     na_token: str = "NA"
 
     def __post_init__(self):
+        for name, kind in (("has_header", bool), ("table_name", str), ("na_token", str)):
+            if not isinstance(getattr(self, name), kind):
+                raise IngestError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
             raise IngestError(f"delimiter must be a single character, got {self.delimiter!r}")
         if self.delimiter in '"\r\n':
@@ -270,29 +273,27 @@ class Table:
     # -- serialization ------------------------------------------------
 
     def to_delimited(self, options: IngestOptions | None = None) -> str:
-        """Render back to delimited text, missing cells as the sentinel.
+        """Render back to delimited text, missing cells as the sentinel, lines ended by LF.
 
-        Re-ingesting the output with the same options yields an equal
-        table, provided no present value equals the sentinel itself.
-        Raises :class:`IngestError` for a name or value holding a CR that
-        csv would leave unquoted, since it would read back as a line end.
+        As RFC 4180 has it, a field is quoted, each ``"`` in it doubled, when
+        it holds the delimiter, a quote, CR or LF. Re-ingesting the output
+        with the same options yields an equal table, provided no present
+        value equals the sentinel itself.
         """
         opts = options or IngestOptions()
-        names = self.column_names if opts.has_header else ()
-        texts = [[opts.na_token if v is None else v for v in values] for values in self.values]
-        if "\r" in "".join(chain(names, *texts)):
-            for text in (t for t in chain(names, *texts) if "\r" in t):
-                # ending lines with LF, csv quotes a field for an LF but not for a bare CR
-                probe = io.StringIO()
-                csv.writer(probe, delimiter=opts.delimiter, lineterminator="\n").writerow([text])
-                if not probe.getvalue().startswith('"'):
-                    raise IngestError(f"cannot write {text!r}: its CR would read back as a line end")
-        out = io.StringIO()
-        writer = csv.writer(out, delimiter=opts.delimiter, lineterminator="\n")
-        if opts.has_header:
-            writer.writerow(names)
-        writer.writerows(zip(*(_decode(t, codes) for t, codes in zip(texts, self.codes))))
-        return out.getvalue()
+        special = {opts.delimiter, '"', "\r", "\n"}
+        lone = len(self.columns) == 1  # where an empty field would read back as a blank line
+
+        def quoted(text: str) -> str:
+            plain = special.isdisjoint(text) and (text or not lone)
+            return text if plain else '"' + text.replace('"', '""') + '"'
+
+        columns = [
+            _decode([quoted(opts.na_token if v is None else v) for v in values], codes)
+            for values, codes in zip(self.values, self.codes)
+        ]
+        header = [map(quoted, self.column_names)] if opts.has_header else []
+        return "".join(opts.delimiter.join(row) + "\n" for row in chain(header, zip(*columns)))
 
 
 def _decode(values: Sequence[object], codes: np.ndarray) -> list:
@@ -564,13 +565,10 @@ def ingest_delimited(source: bytes | IO[bytes], options: IngestOptions | None = 
 
     ``source`` is a byte string or binary stream; UTF-8 only, with a BOM
     stripped if present. Empty fields and the sentinel become missing.
-    The stream is read in blocks of about 1 MiB, each cut after a
-    newline, and each column is factorized on byte keys as it is read,
-    so no cell is kept as its own string. Blocks free of quote, CR and NUL bytes are
-    split into fields with numpy, as long as every line has the same
-    number of fields, no field is longer than the csv field limit and
-    the bytes are valid UTF-8. The first block that is not, and all that
-    follow it, are read as lines by a strict ``csv.reader``.
+    The stream is read in blocks, split by numpy or a strict
+    ``csv.reader`` as the module docstring tells, and each column is
+    factorized on byte keys as it is read, so no cell is kept as its own
+    string.
 
     Raises :class:`IngestError` for undecodable bytes, zero
     columns, duplicate or empty header names, records the strict csv

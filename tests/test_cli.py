@@ -637,7 +637,8 @@ def test_generate_column_name_that_reads_back_otherwise_is_one_error_line_and_ex
 def test_generate_column_name_with_a_line_break_is_one_error_line_and_exit_2(
     workspace, capsys, name
 ):
-    # csv writes a bare CR unquoted, so "a\rb" would read back as a column "a" and a row "b"
+    # the writer would quote such a name so it reads back, but a spec keeps each
+    # generated column name on one line of the header
     path = workspace / "crspec.json"
     path.write_text(json.dumps({"rows": 5, "columns": [{"name": name, "distinct_values": 3}]}))
     output = workspace / "out.csv"
@@ -753,6 +754,47 @@ def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
 
 
+@pytest.mark.parametrize("noun, argv", [
+    ("rules file", ["classify", "--input", "{dir}/demo.csv", "--rules", "{file}"]),
+    ("assessment form", ["assess", "--assessment", "{file}"]),
+    ("spec file", ["generate", "--spec", "{file}"]),
+], ids=["rules", "form", "spec"])
+@pytest.mark.parametrize("content, problem", [
+    (None, "cannot read"),
+    (b"{", "is not valid JSON: Expecting property name enclosed in double quotes: "
+           "line 1 column 2 (char 1)"),
+    (b'{"a": "\xff"}', "is not valid UTF-8: invalid start byte at byte 7"),
+], ids=["missing", "bad-json", "bad-utf8"])
+def test_unreadable_json_file_is_one_error_line_naming_it(workspace, capsys, noun, argv,
+                                                          content, problem):
+    path = workspace / "doc.json"
+    if content is not None:
+        path.write_bytes(content)
+    code, out, err = run(capsys, *(arg.format(dir=workspace, file=path) for arg in argv))
+    assert (code, out) == (2, "")
+    if content is None:
+        assert err == (f"error: cannot read {noun} {path}: "
+                       f"[Errno 2] No such file or directory: '{path}'\n")
+    else:
+        assert err == f"error: {noun} {path} {problem}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["classify"], ["score"], ["select", "--assessment", "{dir}/high.json"],
+], ids=["classify", "score", "select"])
+def test_tsv_of_a_name_with_a_tab_is_one_error_line_and_exit_2(workspace, capsys, command):
+    # TSV has no quoting, so the name would split into two fields under a shorter header
+    (workspace / "tab.csv").write_text('"a\tb",c\n1,2\n')
+    argv = [arg.format(dir=workspace) for arg in command]
+    code, out, err = run(capsys, *argv, "--input", str(workspace / "tab.csv"),
+                         "--rules", str(workspace / "all_qi.json"), "--format", "tsv")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write 'a\\tb' as TSV: it holds a tab or line break\n"
+    code, out, _ = run(capsys, *argv, "--input", str(workspace / "tab.csv"),
+                       "--rules", str(workspace / "all_qi.json"), "--format", "json")
+    assert code == 0 and "a\\tb" in out
+
+
 # -- golden outputs -------------------------------------------------------------------
 # The full stdout of every rendering, pinned byte for byte in tests/golden/.
 
@@ -812,22 +854,45 @@ def test_golden_output(tmp_path, capsys, case, fmt):
     assert out.encode("utf-8") == (GOLDEN / f"{case}.{fmt}").read_bytes()
 
 
+# names that need quoting under one delimiter or the other
+QUOTED_NAMES_SPEC = {"rows": 8, "seed": 3, "columns": [
+    {"name": "a,b", "distinct_values": 3},
+    {"name": 'q"t', "distinct_values": 4, "distribution": "zipf(1.2)"},
+    {"name": "x;y", "distinct_values": 2},
+]}
+
+
+@pytest.mark.parametrize("golden, flags", [
+    ("generate.csv", []),
+    ("generate-semicolon.csv", ["--delimiter", ";"]),
+])
+def test_generate_golden_output(tmp_path, capsys, golden, flags):
+    (tmp_path / "spec.json").write_text(json.dumps(QUOTED_NAMES_SPEC))
+    code, out, err = run(capsys, "generate", "--spec", str(tmp_path / "spec.json"), *flags)
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
 # -- fuzz gate: arbitrary and mutated JSON documents fail cleanly or not at all --
 
 
-def json_values(integers):
+def json_scalars(integers):
+    return st.none() | st.booleans() | integers | st.floats() | st.text(max_size=10)
+
+
+def json_values(scalars):
     return st.recursive(
-        st.none() | st.booleans() | integers | st.floats() | st.text(max_size=10),
+        scalars,
         lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=10), inner, max_size=5),
         max_leaves=12,
     )
 
 
 # Integers stay within +-1000, so no generated spec allocates more than a few MB.
-JSON_VALUES = json_values(st.integers(-1000, 1000))
+JSON_SCALARS = json_scalars(st.integers(-1000, 1000))
 # A form allocates nothing by its numbers, so its integers also reach +-10**400, past
 # float range.
-FORM_VALUES = json_values(
+FORM_SCALARS = json_scalars(
     st.integers(-1000, 1000)
     | st.builds(lambda sign, digits: sign * 10**digits, st.sampled_from([1, -1]), st.integers(300, 400))
 )
@@ -877,8 +942,15 @@ def mutations_of(draw, valid, values):
     return doc
 
 
-def json_documents(valid, values=JSON_VALUES):
-    return values | mutations_of(valid, values)
+def json_documents(valid, scalars=JSON_SCALARS):
+    """Arbitrary JSON values, or ``valid`` mutated.
+
+    A mutation draws its values from scalars as a branch of their own, or
+    a value drawn whole would be a container most of the time, and a
+    scalar of the wrong kind or size would seldom land in a valid slot.
+    """
+    values = json_values(scalars)
+    return values | mutations_of(valid, scalars | values)
 
 
 def run_on_document(tmp_path_factory, doc, argv):
@@ -907,7 +979,7 @@ def test_classify_on_arbitrary_rules_exits_0_or_2(tmp_path_factory, doc):
 
 
 @settings(max_examples=200, deadline=None)
-@given(json_documents(MIDDLE_FORM, FORM_VALUES))
+@given(json_documents(MIDDLE_FORM, FORM_SCALARS))
 @example(dict(MIDDLE_FORM, tenure_years=10**400))
 def test_assess_on_arbitrary_forms_exits_0_or_2(tmp_path_factory, doc):
     run_on_document(tmp_path_factory, doc, ["assess", "--assessment", "{doc}"])

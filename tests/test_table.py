@@ -680,20 +680,64 @@ def test_ragged_row_just_before_invalid_utf8_is_reported():
     assert (exc.value.row, str(exc.value)) == (3, RAGGED_3)
 
 
-def test_to_delimited_refuses_a_cr_that_would_read_back_as_a_line_end():
+def test_to_delimited_quotes_a_cr_so_it_reads_back():
     tables = [
-        (Table.from_rows("t", ["a"], [["x\ry"]]), IngestOptions()),
-        (Table.from_rows("t", ["a\rb"], [["x"]]), IngestOptions()),
-        (Table.from_rows("t", ["a"], [[None]]), IngestOptions(na_token="N\rA")),
+        (Table.from_rows("t", ["a"], [["x\ry"]]), IngestOptions(table_name="t"), 'a\n"x\ry"\n'),
+        (Table.from_rows("t", ["a\rb"], [["x"]]), IngestOptions(table_name="t"), '"a\rb"\nx\n'),
+        (Table.from_rows("t", ["a"], [[None]]), IngestOptions(table_name="t", na_token="N\rA"),
+         'a\n"N\rA"\n'),
     ]
-    for table, options in tables:
-        with pytest.raises(IngestError) as exc:
-            table.to_delimited(options)
-        assert "CR would read back as a line end" in str(exc.value)
-    # a CR in a field that csv quotes for another reason reads back
+    for table, options, text in tables:
+        assert table.to_delimited(options) == text
+        assert ingest_delimited(text.encode(), options) == table
+    # a CR in a field that is quoted for another reason reads back too
     table = Table.from_rows("t", ["a"], [["x\r\ny"], ["x,\ry"], ['x"\r']])
     assert ingest_delimited(table.to_delimited().encode()).cells == table.cells
-    assert Table.from_rows("t", ["a\rb"], [["x"]]).to_delimited(IngestOptions(has_header=False))
+
+
+# -- writing against the former csv.writer rendering --------------------------
+
+def reference_write(table: Table, opts: IngestOptions) -> str:
+    """The table as to_delimited wrote it before it quoted values itself: a csv.writer
+    pass over every cell, which quotes a field for the delimiter, a quote or LF, and
+    writes a lone empty field as ``""``.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, delimiter=opts.delimiter, lineterminator="\n")
+    if opts.has_header:
+        writer.writerow(table.column_names)
+    writer.writerows([opts.na_token if v is None else v for v in row] for row in table.iter_rows())
+    return out.getvalue()
+
+
+# csv.writer leaves a bare CR unquoted, so the reference holds only for text without one
+WRITE_CHARS = st.characters(blacklist_categories=("Cs",), blacklist_characters="\r")
+WRITE_TEXT = st.one_of(
+    st.sampled_from(["", "a", ",", ";", "\t", "|", "§", '"', 'q"t', "l1\nl2", "x, y",
+                     "é", "運"]),
+    st.text(WRITE_CHARS, max_size=6),
+)
+
+
+@st.composite
+def written_tables(draw):
+    n_cols = draw(st.integers(1, 3))
+    names = draw(st.lists(WRITE_TEXT.map(canonicalize).filter(bool), min_size=n_cols,
+                          max_size=n_cols, unique_by=str.lower))
+    rows = draw(st.lists(st.lists(WRITE_TEXT, min_size=n_cols, max_size=n_cols), max_size=6))
+    opts = IngestOptions(
+        delimiter=draw(st.sampled_from([",", ";", "\t", "|", "§"])),
+        has_header=draw(st.booleans()),
+        na_token=draw(st.sampled_from(["NA", "", "N A", 'n"a', "n,a"])),
+    )
+    return Table.from_rows("t", names, rows), opts
+
+
+@settings(max_examples=400, deadline=None)
+@given(written_tables())
+def test_to_delimited_matches_the_csv_writer_rendering(case):
+    table, opts = case
+    assert table.to_delimited(opts) == reference_write(table, opts)
 
 
 @pytest.mark.parametrize("delimiter", ['"', "\r", "\n"])
@@ -709,6 +753,17 @@ def test_options_reject_a_delimiter_that_cannot_be_written_and_read_back(delimit
     # reading and writing share this check, so to_delimited never gets such a delimiter
     with pytest.raises(IngestError):
         IngestOptions(delimiter=delimiter)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("na_token", None, "na_token must be a str, got None"),
+    ("has_header", "no", "has_header must be a bool, got 'no'"),
+    ("table_name", None, "table_name must be a str, got None"),
+])
+def test_options_reject_a_field_of_the_wrong_type(field, value, message):
+    with pytest.raises(IngestError) as exc:
+        IngestOptions(**{field: value})
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("na_token", [" NA ", "NA\t", " ", "\x0bnull"])
