@@ -63,18 +63,22 @@ def _aligned(rows: list[Sequence[str] | None]) -> list[str]:
 
 
 def _emit(fmt: str, doc: object, header: list[str], rows: list[list[str]], text: list[str]) -> None:
-    """Write one rendering: ``doc`` as JSON, header and rows as TSV, or the text lines."""
+    """Write one rendering: ``doc`` as JSON, header and rows as TSV, or the text lines.
+
+    The header and rows hold every name and value that the text shows.
+    Neither TSV nor text quotes, so a field that would split its row there
+    (a tab or line break in TSV, a line break in text) is refused.
+    """
     if fmt == "json":
-        out = json.dumps(doc, indent=2) + "\n"
-    elif fmt == "tsv":
-        lines = [header, *rows]
-        # TSV has no quoting to keep such a field whole
-        if bad := [f for row in lines for f in row if not {"\t", "\r", "\n"}.isdisjoint(f)]:
-            raise QiSentryError(f"cannot write {bad[0]!r} as TSV: it holds a tab or line break")
-        out = "".join("\t".join(row) + "\n" for row in lines)
-    else:
-        out = "".join(line + "\n" for line in text)
-    sys.stdout.write(out)
+        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        return
+    tsv = fmt == "tsv"
+    breaks = {"\t", "\r", "\n"} if tsv else {"\r", "\n"}
+    if bad := [f for row in [header, *rows] for f in row if not breaks.isdisjoint(f)]:
+        what = "TSV: it holds a tab or line break" if tsv else "text: it holds a line break"
+        raise QiSentryError(f"cannot write {bad[0]!r} as {what}")
+    lines = ["\t".join(row) for row in [header, *rows]] if tsv else text
+    sys.stdout.write("".join(line + "\n" for line in lines))
 
 
 def cmd_classify(args) -> int:
@@ -228,6 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument("--format", choices=["json", "tsv", "text"], default="text")
 
+    def add_universe(p):
+        p.add_argument("--universe", choices=["all", "qi"], default="all",
+                       help="columns forming the universe for influence (default all)")
+
     p = sub.add_parser("classify", help="assign DID/QI/SA/NSA per column and print the census")
     add_io(p, rules=True)
     add_format(p)
@@ -236,8 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="uniqueness, influence, and sum per primary QI")
     add_io(p, rules=True)
     add_format(p)
-    p.add_argument("--universe", choices=["all", "qi"], default="all",
-                   help="columns forming the universe for influence (default all)")
+    add_universe(p)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("assess", help="grade a requestor from an assessment form")
@@ -249,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p, rules=True)
     p.add_argument("--assessment", required=True, help="assessment form JSON")
     add_format(p)
-    p.add_argument("--universe", choices=["all", "qi"], default="all")
+    add_universe(p)
     p.add_argument("--threshold", type=float,
                    help="manual threshold override in [0, 2]; the report records both")
     p.add_argument("--no-timestamp", action="store_true",

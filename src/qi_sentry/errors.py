@@ -13,7 +13,7 @@ class QiSentryError(Exception):
 class IngestError(QiSentryError):
     """Raised when delimited input cannot be turned into a table.
 
-    ``row`` is the 1-based number of the offending record, counting a
+    ``row`` is the 1-based number of the offending record, counting the
     header as record 1, or None when the problem is not tied to a
     specific record (e.g. undecodable bytes). The message names it.
     """
@@ -51,7 +51,8 @@ class InvalidSpec(QiSentryError):
 def read_json(path: str | Path, error: type[QiSentryError], noun: str) -> object:
     """The JSON document in the UTF-8 file at ``path``, or ``error`` naming the file as ``noun``."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        # a BOM is skipped, as utf-8-sig would, but byte offsets still count from the file's start
+        return json.loads(Path(path).read_text(encoding="utf-8").removeprefix("\ufeff"))
     except OSError as exc:
         raise error(f"cannot read {noun} {path}: {exc}") from None
     except UnicodeDecodeError as exc:

@@ -245,13 +245,13 @@ def score_columns(
     if table.row_count == 0:
         raise MetricUndefined(f"table {table.name!r} has no rows")
 
-    scored = [m.position for m in table.columns if m.name in classified.primary_qis]
+    scored = [p for p, m in enumerate(table.columns) if m.name in classified.primary_qis]
     if not scored:
         return []
     if universe_policy is UniversePolicy.PRIMARY_QIS_ONLY:
         rest = []
     else:
-        rest = [m.position for m in table.columns if m.name not in classified.primary_qis]
+        rest = [p for p, m in enumerate(table.columns) if m.name not in classified.primary_qis]
     withouts, full = _leave_one_out(table, _fold(table, _ONE_GROUP, rest), scored, True)
     return [
         RiskScore.from_counts(

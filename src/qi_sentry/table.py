@@ -92,7 +92,7 @@ def canonicalize(raw: CellValue) -> CellValue:
 
 @dataclass(frozen=True)
 class IngestOptions:
-    """Options for reading and writing delimited text.
+    """Options for reading and writing delimited text, whose first record is the header.
 
     Raises :class:`IngestError` for a field of the wrong type, a
     delimiter that is not one character or is a quote or line break
@@ -101,14 +101,13 @@ class IngestOptions:
     """
 
     delimiter: str = ","
-    has_header: bool = True
     table_name: str = "table"
     na_token: str = "NA"
 
     def __post_init__(self):
-        for name, kind in (("has_header", bool), ("table_name", str), ("na_token", str)):
-            if not isinstance(getattr(self, name), kind):
-                raise IngestError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+        for name in ("table_name", "na_token"):
+            if not isinstance(getattr(self, name), str):
+                raise IngestError(f"{name} must be a str, got {getattr(self, name)!r}")
         if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
             raise IngestError(f"delimiter must be a single character, got {self.delimiter!r}")
         if self.delimiter in '"\r\n':
@@ -121,10 +120,9 @@ class IngestOptions:
 
 @dataclass(frozen=True)
 class ColumnMeta:
-    """Name, position, and optional manual class override for one column."""
+    """Name and optional manual class override for one column; its position is its index."""
 
     name: str
-    position: int
     declared_class: "ColumnClass | None" = None
 
 
@@ -154,10 +152,6 @@ class Table:
             )
         index: dict[str, int] = {}
         for pos, meta in enumerate(self.columns):
-            if meta.position != pos:
-                raise ValueError(
-                    f"column {meta.name!r} has position {meta.position}, expected {pos}"
-                )
             key = meta.name.lower()
             if key in index:
                 raise ValueError(f"duplicate column name {meta.name!r}")
@@ -197,8 +191,8 @@ class Table:
         """
         declared = {k.lower(): v for k, v in (declared_classes or {}).items()}
         metas = tuple(
-            ColumnMeta(name=col_name, position=pos, declared_class=declared.get(col_name.lower()))
-            for pos, (col_name, _, _) in enumerate(columns)
+            ColumnMeta(name=col_name, declared_class=declared.get(col_name.lower()))
+            for col_name, _, _ in columns
         )
         return cls(
             name=name,
@@ -292,8 +286,8 @@ class Table:
             _decode([quoted(opts.na_token if v is None else v) for v in values], codes)
             for values, codes in zip(self.values, self.codes)
         ]
-        header = [map(quoted, self.column_names)] if opts.has_header else []
-        return "".join(opts.delimiter.join(row) + "\n" for row in chain(header, zip(*columns)))
+        header = map(quoted, self.column_names)
+        return "".join(opts.delimiter.join(row) + "\n" for row in chain([header], zip(*columns)))
 
 
 def _decode(values: Sequence[object], codes: np.ndarray) -> list:
@@ -328,34 +322,27 @@ class _Columns:
     its key in their concatenation. Both parsers add to it.
     """
 
-    def __init__(self, first: list[str] | None, has_header: bool):
-        """Columns named from the first record (None if there is none).
-
-        A header names them by its cells; otherwise they are named by
-        position and the first record is the first row.
-        """
-        if not first:
-            if first is None or has_header:
-                raise IngestError("no columns: input is empty")
-            raise IngestError("no columns: first record is empty", row=1)
-        self.names = [
-            cell.strip(_ASCII_WS) if has_header else f"col_{j}" for j, cell in enumerate(first)
-        ]
+    def __init__(self, header: list[str] | None):
+        """Columns named by the cells of the header, record 1 (None if the input is empty)."""
+        if header is None:
+            raise IngestError("no columns: input is empty")
+        if not header:
+            raise IngestError("no columns: header is empty", row=1)
+        self.names = [cell.strip(_ASCII_WS) for cell in header]
         seen = set()
         for name in self.names:
             if not name:
-                raise IngestError(f"empty column name in header {first!r}", row=1)
+                raise IngestError(f"empty column name in header {header!r}", row=1)
             if name.lower() in seen:
                 raise IngestError(f"duplicate column name {name!r}", row=1)
             seen.add(name.lower())
         self.keys: list[list[np.ndarray]] = [[] for _ in self.names]
         self.parts: list[list[np.ndarray]] = [[np.empty(0, dtype=np.int32)] for _ in self.names]
         self.rows = 0
-        self.first_record = 1 + has_header  # 1-based number of the record holding row 0
 
     @property
     def next_record(self) -> int:
-        return self.first_record + self.rows
+        return 2 + self.rows  # the header is record 1
 
     def add_records(self, chunk: list[list[str]]) -> None:
         width = len(self.names)
@@ -570,8 +557,8 @@ def ingest_delimited(source: bytes | IO[bytes], options: IngestOptions | None = 
     factorized on byte keys as it is read, so no cell is kept as its own
     string.
 
-    Raises :class:`IngestError` for undecodable bytes, zero
-    columns, duplicate or empty header names, records the strict csv
+    Raises :class:`IngestError` for undecodable bytes, an empty input
+    or header, duplicate or empty header names, records the strict csv
     parser rejects (a field over its size limit, a quote left open at
     the end of the input, text after a closing quote) and ragged rows
     (``row`` carries the 1-based record number, counting the header as
@@ -595,9 +582,9 @@ def ingest_delimited(source: bytes | IO[bytes], options: IngestOptions | None = 
                 break
             buf, starts, lengths = fields
             if columns is None:
-                first = block.partition(b"\n")[0].decode("utf-8").split(opts.delimiter)
-                columns = _Columns(first, opts.has_header)
-                starts, lengths = starts[:, opts.has_header :], lengths[:, opts.has_header :]
+                header = block.partition(b"\n")[0].decode("utf-8").split(opts.delimiter)
+                columns = _Columns(header)
+                starts, lengths = starts[:, 1:], lengths[:, 1:]
             if starts.shape[1]:
                 columns.add_fields(buf, starts, lengths)
             offset += len(block)
@@ -608,12 +595,10 @@ def ingest_delimited(source: bytes | IO[bytes], options: IngestOptions | None = 
     lines = _lines(chain([block], blocks), offset, line)
     records = csv.reader(lines, delimiter=opts.delimiter, strict=True)
     if columns is None:
-        first, fault = _take(records, 1, 1)
+        header, fault = _take(records, 1, 1)
         if fault:
             raise fault
-        columns = _Columns(first[0] if first else None, opts.has_header)
-        if not opts.has_header:
-            columns.add_records(first)
+        columns = _Columns(header[0] if header else None)
     while True:
         chunk, fault = _take(records, _CHUNK_RECORDS, columns.next_record)
         columns.add_records(chunk)  # a ragged row before the fault is the first fault

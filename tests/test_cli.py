@@ -151,6 +151,20 @@ def test_classify_falls_back_to_shipped_rules(workspace, capsys, monkeypatch):
     assert "census: DID=0 QI=3 SA=0 NSA=1" in out
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"\nx,y\n1,2\n", "no columns: header is empty (record 1)"),
+    (b"", "no columns: input is empty"),
+])
+def test_blank_first_line_or_empty_input_is_one_error_line_and_exit_2(
+    workspace, capsys, data, message
+):
+    path = workspace / "blank.csv"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "classify", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 # -- score ----------------------------------------------------------------------
 
 def test_score_demo_tsv(workspace, capsys):
@@ -754,6 +768,13 @@ def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
 
 
+@pytest.mark.parametrize("command", ["score", "select"])
+def test_universe_has_the_same_help_in_score_and_select(capsys, command):
+    assert main([command, "--help"]) == 0
+    words = " ".join(capsys.readouterr().out.split())
+    assert "--universe {all,qi} columns forming the universe for influence (default all)" in words
+
+
 @pytest.mark.parametrize("noun, argv", [
     ("rules file", ["classify", "--input", "{dir}/demo.csv", "--rules", "{file}"]),
     ("assessment form", ["assess", "--assessment", "{file}"]),
@@ -793,6 +814,42 @@ def test_tsv_of_a_name_with_a_tab_is_one_error_line_and_exit_2(workspace, capsys
     code, out, _ = run(capsys, *argv, "--input", str(workspace / "tab.csv"),
                        "--rules", str(workspace / "all_qi.json"), "--format", "json")
     assert code == 0 and "a\\tb" in out
+
+
+@pytest.mark.parametrize("command", [
+    ["classify"], ["score"], ["select", "--assessment", "{dir}/high.json"],
+], ids=["classify", "score", "select"])
+def test_text_of_a_name_with_a_line_break_is_one_error_line_and_exit_2(workspace, capsys, command):
+    # text has no quoting either, so the name would split its row over two lines
+    (workspace / "lf.csv").write_text('"a\nb",c\n1,2\n')
+    argv = [arg.format(dir=workspace) for arg in command]
+    argv += ["--input", str(workspace / "lf.csv"), "--rules", str(workspace / "all_qi.json")]
+    code, out, err = run(capsys, *argv, "--format", "text")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write 'a\\nb' as text: it holds a line break\n"
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and "a\\nb" in out
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["classify", "--input", "{dir}/demo.csv", "--rules", "{file}"], ALL_QI_RULES),
+    (["assess", "--assessment", "{file}"], MIDDLE_FORM),
+    (["generate", "--spec", "{file}"], {"rows": 5, "seed": 1, "columns": [
+        {"name": "a", "distinct_values": 3}]}),
+], ids=["rules", "form", "spec"])
+def test_json_file_with_a_bom_reads_as_without_one(workspace, capsys, argv, content):
+    path = workspace / "doc.json"
+    outputs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(bom + json.dumps(content).encode())
+        outputs.append(run(capsys, *(arg.format(dir=workspace, file=path) for arg in argv)))
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]
+    # invalid UTF-8 after a BOM is placed by its byte in the file, BOM included
+    path.write_bytes(b'\xef\xbb\xbf{"a": "\xff"}')
+    code, out, err = run(capsys, *(arg.format(dir=workspace, file=path) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.endswith(" is not valid UTF-8: invalid start byte at byte 10\n")
 
 
 # -- golden outputs -------------------------------------------------------------------
@@ -942,15 +999,25 @@ def mutations_of(draw, valid, values):
     return doc
 
 
+@st.composite
+def one_scalar_in(draw, valid, scalars):
+    """``valid`` with exactly one top-level value replaced by a drawn scalar."""
+    doc = copy.deepcopy(valid)
+    doc[draw(st.sampled_from(sorted(doc)))] = draw(scalars)
+    return doc
+
+
 def json_documents(valid, scalars=JSON_SCALARS):
-    """Arbitrary JSON values, or ``valid`` mutated.
+    """Arbitrary JSON values, ``valid`` mutated, or ``valid`` with one scalar swapped in.
 
     A mutation draws its values from scalars as a branch of their own, or
     a value drawn whole would be a container most of the time, and a
     scalar of the wrong kind or size would seldom land in a valid slot.
+    A mutation also changes up to three slots, and another change
+    usually breaks the document first; the last branch changes only one.
     """
     values = json_values(scalars)
-    return values | mutations_of(valid, scalars | values)
+    return values | mutations_of(valid, scalars | values) | one_scalar_in(valid, scalars)
 
 
 def run_on_document(tmp_path_factory, doc, argv):

@@ -113,15 +113,17 @@ def test_zero_columns_rejected():
         ingest_delimited(b"")
 
 
-def test_headerless_input_names_columns_by_position():
-    table = ingest_delimited(b"1,2\n3,4\n", IngestOptions(has_header=False))
-    assert table.column_names == ("col_0", "col_1")
-    assert table.row_count == 2
-
-
-def test_headerless_empty_input_rejected():
-    with pytest.raises(IngestError):
-        ingest_delimited(b"", IngestOptions(has_header=False))
+@pytest.mark.parametrize("block", [1, 1 << 20])
+def test_a_blank_first_line_is_an_empty_header_at_record_1(monkeypatch, block):
+    monkeypatch.setattr(table_module, "_BLOCK_BYTES", block)
+    with pytest.raises(IngestError) as exc:
+        ingest_delimited(b"\nx,y\n1,2\n")
+    assert exc.value.row == 1
+    assert str(exc.value) == "no columns: header is empty (record 1)"
+    with pytest.raises(IngestError) as exc:
+        ingest_delimited(b"")
+    assert exc.value.row is None
+    assert str(exc.value) == "no columns: input is empty"
 
 
 def test_missing_values_from_empty_fields_and_sentinel():
@@ -249,7 +251,7 @@ def test_table_rejects_codes_of_the_wrong_length():
     with pytest.raises(ValueError):
         Table(
             name="t",
-            columns=(table_module.ColumnMeta("a", 0),),
+            columns=(table_module.ColumnMeta("a"),),
             values=(("x",),),
             codes=(np.zeros(2, dtype="int32"),),
             row_count=3,
@@ -274,15 +276,9 @@ def reference_ingest(data: bytes, opts: IngestOptions) -> tuple[tuple[str, ...],
     """
     text = io.StringIO(data.decode("utf-8-sig"), newline="")  # as csv asks files be opened
     records = csv.reader(text, delimiter=opts.delimiter)
-    if opts.has_header:
-        names = [cell.strip(" \t\r\n\x0b\x0c") for cell in next(records)]
-        cols: list[list] = [[] for _ in names]
-    else:
-        names, cols = [], []
+    names = [cell.strip(" \t\r\n\x0b\x0c") for cell in next(records)]
+    cols: list[list] = [[] for _ in names]
     for record in records:
-        if not names:
-            names = [f"col_{j}" for j in range(len(record))]
-            cols = [[] for _ in names]
         assert len(record) == len(names)
         for col, cell in zip(cols, record):
             value = canonicalize(cell)
@@ -314,8 +310,7 @@ def to_bytes(header, rows, delimiter: str, bom: bool, lineterminator: str = "\r\
     if lineterminator == "\n":
         rows = [[cell.replace("\r", "\n") for cell in row] for row in rows]
     writer = csv.writer(out, delimiter=delimiter, lineterminator=lineterminator)
-    if header is not None:
-        writer.writerow(header)
+    writer.writerow(header)
     writer.writerows(rows)
     return (b"\xef\xbb\xbf" if bom else b"") + out.getvalue().encode("utf-8")
 
@@ -323,17 +318,14 @@ def to_bytes(header, rows, delimiter: str, bom: bool, lineterminator: str = "\r\
 @st.composite
 def delimited_inputs(draw):
     n_cols = draw(st.integers(1, 4))
-    has_header = draw(st.booleans())
-    rows = draw(st.lists(st.lists(CELL_TEXT, min_size=n_cols, max_size=n_cols),
-                         min_size=0 if has_header else 1, max_size=14))
+    rows = draw(st.lists(st.lists(CELL_TEXT, min_size=n_cols, max_size=n_cols), max_size=14))
     header = [f"{draw(st.sampled_from(['', ' ']))}c{j}" for j in range(n_cols)]
     opts = IngestOptions(
         delimiter=draw(st.sampled_from([",", "\t", ";"])),
-        has_header=has_header,
         table_name="t",
         na_token=draw(st.sampled_from(["NA", "null"])),
     )
-    data = to_bytes(header if has_header else None, rows, opts.delimiter, draw(st.booleans()),
+    data = to_bytes(header, rows, opts.delimiter, draw(st.booleans()),
                     draw(st.sampled_from(["\r\n", "\n"])))
     return data, opts
 
@@ -365,9 +357,8 @@ def test_ingest_matches_reference_parser(case, chunk, block):
 def test_ingest_matches_reference_parser_beyond_one_chunk():
     rng = random.Random(4097)
     rows = [[rng.choice(TRICKY) for _ in range(3)] for _ in range(2 * 4096 + 17)]
-    for has_header in (True, False):
-        data = to_bytes(["a", "b", "c"] if has_header else None, rows, ",", bom=True)
-        assert_matches_reference(data, IngestOptions(has_header=has_header, table_name="t"))
+    data = to_bytes(["a", "b", "c"], rows, ",", bom=True)
+    assert_matches_reference(data, IngestOptions(table_name="t"))
 
 
 # -- the numpy tokenizer and its hand-over to csv.reader ----------------------
@@ -489,9 +480,7 @@ NON_ASCII_DELIMITED = [
 
 @pytest.mark.parametrize("delimiter, text", NON_ASCII_DELIMITED)
 def test_non_ascii_delimiter_ingests_as_the_reference(delimiter, text):
-    for has_header in (True, False):
-        opts = IngestOptions(delimiter=delimiter, has_header=has_header, table_name="t")
-        assert_matches_reference(text.encode(), opts)
+    assert_matches_reference(text.encode(), IngestOptions(delimiter=delimiter, table_name="t"))
 
 
 def test_score_on_a_non_ascii_delimited_file(tmp_path):
@@ -599,9 +588,9 @@ def test_a_value_split_by_numpy_and_again_read_by_csv_reader_is_one_value(
     monkeypatch, tokenized
 ):
     monkeypatch.setattr(table_module, "_BLOCK_BYTES", 1)  # one line per block
-    data = b'a,a,a,a\na,a,a,a\na,a,a,a\na,a,a,"q""t"\n'
-    table = ingest_delimited(data, IngestOptions(has_header=False))
-    assert tokenized == [True, True, True, False]
+    data = b'h,i,j,k\na,a,a,a\na,a,a,a\na,a,a,a\na,a,a,"q""t"\n'
+    table = ingest_delimited(data)
+    assert tokenized == [True, True, True, True, False]
     assert table.cells == (("a",) * 4,) * 3 + (("a", "a", "a", 'q"t'),)
     assert [len(values) for values in table.values] == [1, 1, 1, 2]
 
@@ -704,8 +693,7 @@ def reference_write(table: Table, opts: IngestOptions) -> str:
     """
     out = io.StringIO()
     writer = csv.writer(out, delimiter=opts.delimiter, lineterminator="\n")
-    if opts.has_header:
-        writer.writerow(table.column_names)
+    writer.writerow(table.column_names)
     writer.writerows([opts.na_token if v is None else v for v in row] for row in table.iter_rows())
     return out.getvalue()
 
@@ -727,7 +715,6 @@ def written_tables(draw):
     rows = draw(st.lists(st.lists(WRITE_TEXT, min_size=n_cols, max_size=n_cols), max_size=6))
     opts = IngestOptions(
         delimiter=draw(st.sampled_from([",", ";", "\t", "|", "§"])),
-        has_header=draw(st.booleans()),
         na_token=draw(st.sampled_from(["NA", "", "N A", 'n"a', "n,a"])),
     )
     return Table.from_rows("t", names, rows), opts
@@ -757,7 +744,6 @@ def test_options_reject_a_delimiter_that_cannot_be_written_and_read_back(delimit
 
 @pytest.mark.parametrize("field, value, message", [
     ("na_token", None, "na_token must be a str, got None"),
-    ("has_header", "no", "has_header must be a bool, got 'no'"),
     ("table_name", None, "table_name must be a str, got None"),
 ])
 def test_options_reject_a_field_of_the_wrong_type(field, value, message):
@@ -789,8 +775,7 @@ FUZZ_PIECES = [b'"', b"\r", b"\n", b"\0", b",", b"\t", b" ", b"\xff", b"\xc3", b
 @st.composite
 def fuzzed_inputs(draw):
     if draw(st.booleans()):
-        opts = IngestOptions(delimiter=draw(st.sampled_from([",", "\t", ";"])),
-                             has_header=draw(st.booleans()), table_name="t")
+        opts = IngestOptions(delimiter=draw(st.sampled_from([",", "\t", ";"])), table_name="t")
         return draw(st.binary(max_size=120)), opts
     data, opts = draw(delimited_inputs())
     data = bytearray(data)
