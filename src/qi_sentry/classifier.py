@@ -2,10 +2,10 @@
 
 The judgment "could this column identify someone when combined with
 other data" is not computable from cell values, so it is externalized
-into an ordered rules file: first matching pattern wins, a per-column
-manual override beats the rules, anything unmatched gets the default
-class. The QI columns that come out of this stage are the primary QIs;
-the risk metrics narrow them down afterwards.
+into an ordered rules file: first matching pattern wins, and anything
+unmatched gets the default class. To force one column's class, put an
+exact-name rule first. The QI columns that come out of this stage are
+the primary QIs; the risk metrics narrow them down afterwards.
 """
 
 from __future__ import annotations
@@ -74,18 +74,11 @@ class ClassifiedTable:
 
 
 def classify(table: Table, rules: ClassificationRules) -> ClassifiedTable:
-    """Assign every column a class.
+    """Assign every column the class of its first matching rule, else the default.
 
-    Precedence per column: manual ``declared_class`` override, then the
-    first matching rule, then the rules' default class. Total over valid
-    inputs; classification never fails.
+    Total over valid inputs; classification never fails.
     """
-    classes: dict[str, ColumnClass] = {}
-    for meta in table.columns:
-        if meta.declared_class is not None:
-            classes[meta.name] = ColumnClass(meta.declared_class)
-        else:
-            classes[meta.name] = rules.class_for(meta.name)
+    classes = {name: rules.class_for(name) for name in table.column_names}
     qis = frozenset(name for name, cls in classes.items() if cls is ColumnClass.QI)
     return ClassifiedTable(table=table, classes=classes, primary_qis=qis)
 

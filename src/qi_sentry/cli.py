@@ -156,10 +156,7 @@ def cmd_select(args) -> int:
     threshold = report.threshold
     override = ""
     if threshold.overridden:
-        override = " (manual override" + (
-            "" if threshold.grade_value is None
-            else f"; grade-derived {_num(threshold.grade_value)}"
-        ) + ")"
+        override = f" (manual override; grade-derived {_num(threshold.grade_value)})"
     text = [
         f"table: {report.table_name}",
         f"requestor grade: {report.grade}",

@@ -32,10 +32,10 @@ _DID_NOTE = "mandatory removal"
 
 @dataclass(frozen=True)
 class SelectionThreshold:
-    """Effective threshold, plus the grade-derived value when overridden."""
+    """Effective threshold, and the grade-derived value it equals or overrides."""
 
     value: float
-    grade_value: float | None = None
+    grade_value: float
     overridden: bool = False
 
     def __post_init__(self):
@@ -49,10 +49,10 @@ def threshold_for(grade: UserGrade) -> SelectionThreshold:
     return SelectionThreshold(value=value, grade_value=value)
 
 
-def manual_threshold(value: float, grade: UserGrade | None = None) -> SelectionThreshold:
+def manual_threshold(value: float, grade: UserGrade) -> SelectionThreshold:
     """An explicit override; keeps the grade-derived value on record."""
-    grade_value = _GRADE_THRESHOLDS[UserGrade(grade)] if grade is not None else None
-    return SelectionThreshold(value=value, grade_value=grade_value, overridden=True)
+    return SelectionThreshold(value=value, grade_value=_GRADE_THRESHOLDS[UserGrade(grade)],
+                              overridden=True)
 
 
 def select_final_qis(

@@ -10,7 +10,7 @@ tuple of the column's distinct values and an ``int32`` array holding,
 for every row, the position of that row's value in the tuple. Every
 listed value occurs at least once, so a column's cardinality is the
 length of its value tuple. The metrics read only the codes. ``cells``
-and the row accessors decode them into Python strings on first use.
+decodes them into Python strings on first use.
 
 Ingest reads the bytes in blocks of about 1 MiB, each cut after its
 last newline. A block with no quote, CR or NUL byte, a one-byte ASCII
@@ -48,15 +48,12 @@ import io
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count, islice
-from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import IngestError, NoSuchColumn
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .classifier import ColumnClass
 
 # A cell is a canonical string, or None for missing.
 CellValue = str | None
@@ -120,10 +117,9 @@ class IngestOptions:
 
 @dataclass(frozen=True)
 class ColumnMeta:
-    """Name and optional manual class override for one column; its position is its index."""
+    """The name of one column; its position is its index."""
 
     name: str
-    declared_class: "ColumnClass | None" = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,8 +129,13 @@ class Table:
     ``values[p]`` holds column p's distinct cells and ``codes[p]`` (int32,
     read-only) indexes it per row. Instances are immutable after
     construction and safe to share across threads. Build them with
-    :meth:`from_rows`, :meth:`from_columns`, :meth:`from_codes` or
-    :func:`ingest_delimited` rather than calling the dataclass directly.
+    :meth:`from_rows`, :meth:`from_codes` or :func:`ingest_delimited`
+    rather than calling the dataclass directly.
+
+    Raises ``ValueError`` for a table with no columns, or a column name
+    that is empty, has ASCII whitespace at an edge or repeats another
+    case-insensitively: :meth:`to_delimited` could not write it so that
+    it reads back.
     """
 
     name: str
@@ -150,8 +151,12 @@ class Table:
                 f"{len(self.columns)} columns but {len(self.values)} value tuples "
                 f"and {len(self.codes)} code arrays"
             )
+        if not self.columns:
+            raise ValueError(f"table {self.name!r} has no columns")
         index: dict[str, int] = {}
         for pos, meta in enumerate(self.columns):
+            if not meta.name or meta.name != meta.name.strip(_ASCII_WS):
+                raise ValueError(f"column name {meta.name!r} is empty or has whitespace at an edge")
             key = meta.name.lower()
             if key in index:
                 raise ValueError(f"duplicate column name {meta.name!r}")
@@ -179,62 +184,38 @@ class Table:
 
     @classmethod
     def from_codes(
-        cls,
-        name: str,
-        columns: Sequence[tuple[str, Sequence[CellValue], np.ndarray]],
-        declared_classes: Mapping[str, "ColumnClass"] | None = None,
+        cls, name: str, columns: Sequence[tuple[str, Sequence[CellValue], np.ndarray]]
     ) -> "Table":
         """Build a table from (column name, distinct values, int32 codes) triples.
 
         Row i of a column holds ``values[codes[i]]``. The values must be
         canonical and distinct, and each must occur at least once.
         """
-        declared = {k.lower(): v for k, v in (declared_classes or {}).items()}
-        metas = tuple(
-            ColumnMeta(name=col_name, declared_class=declared.get(col_name.lower()))
-            for col_name, _, _ in columns
-        )
         return cls(
             name=name,
-            columns=metas,
+            columns=tuple(ColumnMeta(col_name) for col_name, _, _ in columns),
             values=tuple(tuple(values) for _, values, _ in columns),
             codes=tuple(codes for _, _, codes in columns),
             row_count=len(columns[0][2]) if columns else 0,
         )
 
     @classmethod
-    def from_columns(
-        cls,
-        name: str,
-        columns: Mapping[str, Iterable[CellValue]] | Sequence[tuple[str, Iterable[CellValue]]],
-        declared_classes: Mapping[str, "ColumnClass"] | None = None,
-    ) -> "Table":
-        """Build a table from (column name, cells) pairs; cells are canonicalized."""
-        pairs = list(columns.items()) if isinstance(columns, Mapping) else list(columns)
-        coded = []
-        for col_name, cells in pairs:
-            canonical = list(map(canonicalize, cells))
-            ids = dict(zip(dict.fromkeys(canonical), count()))
-            codes = np.fromiter(map(ids.__getitem__, canonical), np.int32, len(canonical))
-            coded.append((col_name, tuple(ids), codes))
-        return cls.from_codes(name, coded, declared_classes)
-
-    @classmethod
     def from_rows(
-        cls,
-        name: str,
-        column_names: Sequence[str],
-        rows: Iterable[Sequence[CellValue]],
-        declared_classes: Mapping[str, "ColumnClass"] | None = None,
+        cls, name: str, column_names: Sequence[str], rows: Iterable[Sequence[CellValue]]
     ) -> "Table":
-        """Build a table from row-major data (the test-fixture workhorse)."""
+        """Build a table from row-major Python cells; cells are canonicalized."""
         cols: list[list[CellValue]] = [[] for _ in column_names]
         for row in rows:
             if len(row) != len(column_names):
                 raise ValueError(f"row has {len(row)} cells, expected {len(column_names)}")
             for col, value in zip(cols, row):
-                col.append(value)
-        return cls.from_columns(name, list(zip(column_names, cols)), declared_classes)
+                col.append(canonicalize(value))
+        coded = []
+        for col_name, cells in zip(column_names, cols):
+            ids = dict(zip(dict.fromkeys(cells), count()))
+            codes = np.fromiter(map(ids.__getitem__, cells), np.int32, len(cells))
+            coded.append((col_name, tuple(ids), codes))
+        return cls.from_codes(name, coded)
 
     # -- access -------------------------------------------------------
 
@@ -257,12 +238,6 @@ class Table:
     def column_values(self, column_name: str) -> tuple[CellValue, ...]:
         """The column's cells in row order."""
         return self.cells[self.position_of(column_name)]
-
-    def row(self, i: int) -> tuple[CellValue, ...]:
-        return tuple(col[i] for col in self.cells)
-
-    def iter_rows(self) -> Iterable[tuple[CellValue, ...]]:
-        return zip(*self.cells) if self.cells else iter(())
 
     # -- serialization ------------------------------------------------
 

@@ -177,11 +177,14 @@ def test_criterion_7_properties():
         table = random_table(rng, max_rows=10, max_cols=4)
         row_order = list(range(table.row_count))
         rng.shuffle(row_order)
-        by_rows = Table.from_rows("t", table.column_names, [table.row(i) for i in row_order])
+        rows = list(zip(*table.cells))
+        by_rows = Table.from_rows("t", table.column_names, [rows[i] for i in row_order])
         col_order = list(range(len(table.columns)))
         rng.shuffle(col_order)
-        by_cols = Table.from_columns(
-            "t", [(table.columns[p].name, table.cells[p]) for p in col_order]
+        by_cols = Table.from_rows(
+            "t",
+            [table.column_names[p] for p in col_order],
+            zip(*[table.cells[p] for p in col_order]),
         )
         for name in table.column_names:
             assert uniqueness(by_rows, name) == uniqueness(table, name)
@@ -193,9 +196,7 @@ def test_criterion_7_properties():
     rng = random.Random(74)
     for _ in range(cases):
         table = random_table(rng, max_rows=10, max_cols=4)
-        doubled = Table.from_rows(
-            "t", table.column_names, list(table.iter_rows()) + list(table.iter_rows())
-        )
+        doubled = Table.from_rows("t", table.column_names, 2 * list(zip(*table.cells)))
         for name in table.column_names:
             assert uniqueness(doubled, name) == 0.0
             assert influence(doubled, name) == influence(table, name)

@@ -7,13 +7,16 @@ import pytest
 from qi_sentry import (
     ClassificationRules,
     ColumnClass,
+    ColumnSpec,
     Rule,
     RulesError,
+    SyntheticSpec,
     Table,
     classification_census,
     classify,
     default_rules,
     load_rules,
+    rules_for_spec,
 )
 from qi_sentry.classifier import parse_rules, rules_to_doc
 
@@ -29,8 +32,8 @@ PATIENT_MASTER_COLUMNS = [
 ]
 
 
-def schema_table(names, declared=None):
-    return Table.from_rows("schema", names, [], declared_classes=declared)
+def schema_table(names):
+    return Table.from_rows("schema", names, [])
 
 
 def test_first_match_wins():
@@ -66,11 +69,19 @@ def test_matching_is_case_insensitive():
     assert classified.classes["ZipCode"] is ColumnClass.QI
 
 
-def test_declared_class_override_beats_rules():
-    rules = ClassificationRules(rules=(Rule("*", ColumnClass.DID),))
-    table = schema_table(["a", "b"], declared={"b": ColumnClass.SA})
-    classified = classify(table, rules)
-    assert classified.classes == {"a": ColumnClass.DID, "b": ColumnClass.SA}
+def test_an_exact_name_rule_before_a_catch_all_decides_its_column():
+    # rules_for_spec escapes the glob characters, so "b[1]*?" matches only itself
+    spec = SyntheticSpec(rows=1, columns=(ColumnSpec("b[1]*?", 1, class_hint=ColumnClass.SA),))
+    exact = rules_for_spec(spec).rules
+    assert [rule.pattern for rule in exact] == ["b[[]1][*][?]"]
+    rules = ClassificationRules(rules=(*exact, Rule("*", ColumnClass.DID)))
+    classified = classify(schema_table(["a", "b[1]*?", "b1x?", "B[1]*?x"]), rules)
+    assert classified.classes == {
+        "a": ColumnClass.DID,
+        "b[1]*?": ColumnClass.SA,
+        "b1x?": ColumnClass.DID,
+        "B[1]*?x": ColumnClass.DID,
+    }
 
 
 def test_empty_rules_default_everything_to_nsa():

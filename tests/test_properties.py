@@ -142,9 +142,8 @@ def test_subset_monotonicity(table, data):
 def test_row_permutation_invariance(table, rnd):
     order = list(range(table.row_count))
     rnd.shuffle(order)
-    shuffled = Table.from_rows(
-        "t", table.column_names, [table.row(i) for i in order]
-    )
+    rows = list(zip(*table.cells))
+    shuffled = Table.from_rows("t", table.column_names, [rows[i] for i in order])
     for name in table.column_names:
         assert uniqueness(shuffled, name) == uniqueness(table, name)
         assert influence(shuffled, name) == influence(table, name)
@@ -159,8 +158,8 @@ def test_row_permutation_invariance(table, rnd):
 def test_column_permutation_invariance(table, rnd):
     order = list(range(len(table.columns)))
     rnd.shuffle(order)
-    permuted = Table.from_columns(
-        "t", [(table.columns[p].name, table.cells[p]) for p in order]
+    permuted = Table.from_rows(
+        "t", [table.column_names[p] for p in order], zip(*[table.cells[p] for p in order])
     )
     for name in table.column_names:
         assert uniqueness(permuted, name) == uniqueness(table, name)
@@ -170,9 +169,7 @@ def test_column_permutation_invariance(table, rnd):
 @settings(max_examples=500, deadline=None)
 @given(tables())
 def test_row_duplication_kills_uniqueness_preserves_influence(table):
-    doubled = Table.from_rows(
-        "t", table.column_names, list(table.iter_rows()) + list(table.iter_rows())
-    )
+    doubled = Table.from_rows("t", table.column_names, 2 * list(zip(*table.cells)))
     for name in table.column_names:
         assert uniqueness(doubled, name) == 0.0
         assert influence(doubled, name) == influence(table, name)

@@ -75,9 +75,9 @@ def test_manual_threshold_records_grade_value():
 
 def test_threshold_range_validated():
     with pytest.raises(ValueError):
-        SelectionThreshold(value=2.5)
+        SelectionThreshold(value=2.5, grade_value=0.25)
     with pytest.raises(ValueError):
-        manual_threshold(-0.1)
+        manual_threshold(-0.1, UserGrade.HIGH)
 
 
 # -- selection ----------------------------------------------------------------

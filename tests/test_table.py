@@ -216,22 +216,36 @@ def test_canonicalize_is_idempotent():
 
 def test_table_rejects_mismatched_column_lengths():
     with pytest.raises(ValueError):
-        Table.from_columns("t", [("a", ("1", "2")), ("b", ("1",))])
+        Table.from_codes(
+            "t",
+            [("a", ("1", "2"), np.array([0, 1], dtype="int32")),
+             ("b", ("1",), np.array([0], dtype="int32"))],
+        )
 
 
 def test_table_rejects_duplicate_names():
     with pytest.raises(ValueError):
-        Table.from_columns("t", [("a", ("1",)), ("A", ("2",))])
+        Table.from_rows("t", ["a", "A"], [["1", "2"]])
+
+
+def test_table_rejects_no_columns():
+    # written as a blank line, which reads back as an empty header
+    with pytest.raises(ValueError, match="no columns"):
+        Table.from_codes("t", [])
+    with pytest.raises(ValueError, match="no columns"):
+        Table.from_rows("t", [], [])
+
+
+@pytest.mark.parametrize("name", ["", " x", "x ", "\tx", "x\r\n", "\x0bx\x0c"])
+def test_table_rejects_a_column_name_that_is_empty_or_has_whitespace_at_an_edge(name):
+    # written as is, it would read back trimmed, as another name
+    with pytest.raises(ValueError, match="whitespace at an edge"):
+        Table.from_rows("t", [name], [["1"]])
 
 
 def test_from_rows_canonicalizes():
     table = Table.from_rows("t", ["a"], [[" 1 "], [""]])
     assert table.column_values("a") == ("1", None)
-
-
-def test_row_access(demo_table):
-    assert demo_table.row(2) == ("58", "21", "M", "47853")
-    assert list(demo_table.iter_rows())[0] == ("72", "45", "M", "75145")
 
 
 def test_delimiter_must_be_single_char():
@@ -694,7 +708,7 @@ def reference_write(table: Table, opts: IngestOptions) -> str:
     out = io.StringIO()
     writer = csv.writer(out, delimiter=opts.delimiter, lineterminator="\n")
     writer.writerow(table.column_names)
-    writer.writerows([opts.na_token if v is None else v for v in row] for row in table.iter_rows())
+    writer.writerows([opts.na_token if v is None else v for v in row] for row in zip(*table.cells))
     return out.getvalue()
 
 
