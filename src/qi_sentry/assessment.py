@@ -20,11 +20,9 @@ columns for release.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
@@ -191,13 +189,3 @@ def parse_form(doc: dict) -> AssessmentForm:
 def load_form(path: str | Path) -> AssessmentForm:
     return parse_form(read_json(path, InvalidForm, "assessment form"))
 
-
-def reference_linkage_grades() -> dict[str, str]:
-    """Example institution-to-grade mapping shipped for reference.
-
-    Assessors always supply the linkage grade explicitly on the form;
-    this mapping is documentation, not a lookup the scoring depends on.
-    """
-    return json.loads(
-        resources.files("qi_sentry.data").joinpath("institution_grades.json").read_text("utf-8")
-    )

@@ -26,6 +26,14 @@ from .table import Table, canonicalize
 _ZIPF_RE = re.compile(r"^zipf\(\s*([0-9.eE+-]+)\s*\)$")
 _GLOB_CHARS = re.compile(r"[*?[]")
 
+# Specs are bounded before anything is drawn, so an oversized one is an
+# InvalidSpec and not a MemoryError or a killed process. A table holds
+# an int32 code per cell: 400 MB at MAX_CELLS, which admits 1M rows x 30
+# columns three times over. Drawing a column allocates int64 and float64
+# arrays over its whole alphabet: 80 MB each at MAX_DISTINCT_VALUES.
+MAX_CELLS = 100_000_000
+MAX_DISTINCT_VALUES = 10_000_000
+
 
 @dataclass(frozen=True)
 class ColumnSpec:
@@ -43,10 +51,10 @@ class ColumnSpec:
             )
         if "\r" in self.name or "\n" in self.name:
             raise InvalidSpec(f"column name cannot hold a line break, got {self.name!r}")
-        if self.distinct_values < 1:
+        if not 1 <= self.distinct_values <= MAX_DISTINCT_VALUES:
             raise InvalidSpec(
-                f"column {self.name!r}: distinct_values must be positive, "
-                f"got {self.distinct_values}"
+                f"column {self.name!r}: distinct_values must be from 1 to "
+                f"MAX_DISTINCT_VALUES = {MAX_DISTINCT_VALUES}, got {self.distinct_values}"
             )
         self.zipf_s  # validate the distribution string eagerly
 
@@ -86,6 +94,11 @@ class SyntheticSpec:
             raise InvalidSpec(f"seed must be non-negative, got {self.seed}")
         if not self.columns:
             raise InvalidSpec("spec must declare at least one column")
+        if self.rows * len(self.columns) > MAX_CELLS:
+            raise InvalidSpec(
+                f"rows x columns must be at most MAX_CELLS = {MAX_CELLS}, "
+                f"got {self.rows} x {len(self.columns)}"
+            )
         seen = set()
         for col in self.columns:
             if col.name.lower() in seen:

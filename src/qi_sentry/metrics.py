@@ -142,7 +142,7 @@ def _fold(table: Table, grouping: _Grouping, positions: Iterable[int]) -> _Group
     for position in positions:
         if count == n:
             break
-        codes, card = table.codes[position], len(table.values[position])
+        codes, card = table.codes[position], table.cardinality(position)
         if ids is None:
             ids, count = codes, card
         else:

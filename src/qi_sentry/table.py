@@ -5,12 +5,16 @@ a canonical string (no leading/trailing ASCII whitespace) or missing.
 Missing is modeled as ``None`` and all missing cells in a column compare
 equal for grouping purposes, i.e. they form one shared symbol.
 
-Each column is stored factorized, once, when the table is built: a
-tuple of the column's distinct values and an ``int32`` array holding,
-for every row, the position of that row's value in the tuple. Every
-listed value occurs at least once, so a column's cardinality is the
-length of its value tuple. The metrics read only the codes. ``cells``
-decodes them into Python strings on first use.
+Each column is stored factorized, once, when the table is built: its
+distinct values and an ``int32`` array holding, for every row, the
+position of that row's value among them. Every distinct value occurs
+at least once, so a column's cardinality is their number. The metrics
+read only the codes and the cardinalities. A table built from Python
+cells keeps its distinct values as a tuple; an ingested table keeps
+them as the byte keys that ingest merged, and decodes each column's
+keys to strings once, on the first read of ``values``, ``cells``,
+``to_delimited`` or ``==``. ``cells`` decodes the codes too, on first
+use.
 
 Ingest reads the bytes in blocks of about 1 MiB, each cut after its
 last newline. A block with no quote, CR or NUL byte, a one-byte ASCII
@@ -33,8 +37,8 @@ block or chunk is factorized with ``np.unique`` on zero-padded keys:
 powers of two, so no key is padded to more than twice its length. At
 the end, one ``np.unique`` per class merges a column's keys across
 blocks. Equal values have equal lengths and so meet in one class. The
-empty key and the NA token become missing, and each distinct value is
-decoded to a ``str`` once. Values are ordered by class, then by key,
+empty key and the NA token become missing, and the table keeps the
+other merged keys undecoded. Values are ordered by class, then by key,
 with missing last.
 
 Cell comparison everywhere downstream is exact, case-sensitive string
@@ -127,8 +131,12 @@ class Table:
     """Column-major table of canonical cells, stored as codes.
 
     ``values[p]`` holds column p's distinct cells and ``codes[p]`` (int32,
-    read-only) indexes it per row. Instances are immutable after
-    construction and safe to share across threads. Build them with
+    read-only) indexes it per row; ``cardinality(p)`` is ``len(values[p])``
+    without decoding. ``distinct[p]`` holds the same values as given: a
+    tuple, or for an ingested column its undecoded keys, which ``values``
+    decodes on first read. Instances are immutable after construction and
+    safe to share across threads: the decode is deterministic, so two
+    threads that race on it only decode twice. Build them with
     :meth:`from_rows`, :meth:`from_codes` or :func:`ingest_delimited`
     rather than calling the dataclass directly.
 
@@ -140,15 +148,15 @@ class Table:
 
     name: str
     columns: tuple[ColumnMeta, ...]
-    values: tuple[tuple[CellValue, ...], ...] = field(repr=False)
+    distinct: tuple[tuple[CellValue, ...] | _Keys, ...] = field(repr=False)
     codes: tuple[np.ndarray, ...] = field(repr=False)
     row_count: int
     _index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not len(self.values) == len(self.codes) == len(self.columns):
+        if not len(self.distinct) == len(self.codes) == len(self.columns):
             raise ValueError(
-                f"{len(self.columns)} columns but {len(self.values)} value tuples "
+                f"{len(self.columns)} columns but {len(self.distinct)} value tuples "
                 f"and {len(self.codes)} code arrays"
             )
         if not self.columns:
@@ -194,7 +202,7 @@ class Table:
         return cls(
             name=name,
             columns=tuple(ColumnMeta(col_name) for col_name, _, _ in columns),
-            values=tuple(tuple(values) for _, values, _ in columns),
+            distinct=tuple(tuple(values) for _, values, _ in columns),
             codes=tuple(codes for _, _, codes in columns),
             row_count=len(columns[0][2]) if columns else 0,
         )
@@ -230,6 +238,15 @@ class Table:
         except KeyError:
             raise NoSuchColumn(column_name, self.name) from None
 
+    def cardinality(self, position: int) -> int:
+        """How many distinct values the column at ``position`` holds; decodes nothing."""
+        return len(self.distinct[position])
+
+    @cached_property
+    def values(self) -> tuple[tuple[CellValue, ...], ...]:
+        """Each column's distinct cells, in code order, decoded on first use."""
+        return tuple(d if isinstance(d, tuple) else d.decode() for d in self.distinct)
+
     @cached_property
     def cells(self) -> tuple[tuple[CellValue, ...], ...]:
         """Decoded cells, one tuple per column in row order, built on first use."""
@@ -263,6 +280,27 @@ class Table:
         ]
         header = map(quoted, self.column_names)
         return "".join(opts.delimiter.join(row) + "\n" for row in chain([header], zip(*columns)))
+
+
+@dataclass(frozen=True)
+class _Keys:
+    """A column's distinct values as ingest merged them, not yet decoded.
+
+    ``kept`` holds the present values' keys, one ``S{w}`` array per width
+    class, in code order; a missing value, if ``missing``, is coded last.
+    """
+
+    kept: tuple[np.ndarray, ...]
+    missing: bool
+
+    def __len__(self) -> int:
+        return sum(map(len, self.kept)) + self.missing
+
+    def decode(self) -> tuple[CellValue, ...]:
+        # fields hold no 0xff, and 0xfe only for NUL
+        text = b"\xff".join([*chain.from_iterable(k.tolist() for k in self.kept), b""])
+        decoded = text.decode("utf-8", "surrogateescape").replace("\udcfe", "\0").split("\udcff")
+        return (*decoded[:-1], *[None] * self.missing)
 
 
 def _decode(values: Sequence[object], codes: np.ndarray) -> list:
@@ -363,19 +401,23 @@ class _Columns:
         # a lone surrogate (an undecodable byte of the command line) becomes bytes
         # that valid UTF-8 never holds, so it matches no field
         na = opts.na_token.encode("utf-8", "surrogatepass").replace(b"\0", b"\xfe")
-        return Table.from_codes(
-            opts.table_name,
-            [
-                (name, *_merge(keys, np.concatenate(part), na))
-                for name, keys, part in zip(self.names, self.keys, self.parts)
-            ],
+        distinct, codes = [], []
+        for j in range(len(self.names)):
+            column_keys, column_codes = _merge(self.keys[j], np.concatenate(self.parts[j]), na)
+            self.keys[j] = self.parts[j] = []  # free the column's blocks once it is merged
+            distinct.append(column_keys)
+            codes.append(column_codes)
+        return Table(
+            name=opts.table_name,
+            columns=tuple(map(ColumnMeta, self.names)),
+            distinct=tuple(distinct),
+            codes=tuple(codes),
+            row_count=self.rows,
         )
 
 
-def _merge(
-    keys: list[np.ndarray], slots: np.ndarray, na: bytes
-) -> tuple[list[CellValue], np.ndarray]:
-    """A column's distinct values and codes, from its blocks' keys and each cell's slot.
+def _merge(keys: list[np.ndarray], slots: np.ndarray, na: bytes) -> tuple[_Keys, np.ndarray]:
+    """A column's distinct keys and codes, from its blocks' keys and each cell's slot.
 
     ``slots`` indexes the concatenation of ``keys``. Equal keys are in the
     same width class, so one ``np.unique`` per class merges them. The
@@ -398,10 +440,7 @@ def _merge(
         kept_so_far += len(values[-1])
     missing = code_of < 0
     code_of[missing] = kept_so_far
-    # fields hold no 0xff, and 0xfe only for NUL
-    text = b"\xff".join([*chain.from_iterable(v.tolist() for v in values), b""])
-    decoded = text.decode("utf-8", "surrogateescape").replace("\udcfe", "\0").split("\udcff")
-    return decoded[:-1] + [None] * bool(missing.any()), code_of[slots]
+    return _Keys(tuple(values), bool(missing.any())), code_of[slots]
 
 
 def _blocks(stream: IO[bytes]) -> Iterator[bytes]:

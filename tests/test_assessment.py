@@ -18,7 +18,6 @@ from qi_sentry.assessment import (
     grade_for_average,
     load_form,
     parse_form,
-    reference_linkage_grades,
 )
 
 SAFE = dict(
@@ -243,8 +242,3 @@ def test_load_form_missing_file(tmp_path):
     with pytest.raises(InvalidForm):
         load_form(tmp_path / "absent.json")
 
-
-def test_reference_linkage_grades_are_well_formed():
-    grades = reference_linkage_grades()
-    assert grades  # non-empty
-    assert all(LinkageGrade(v) for v in grades.values())

@@ -425,15 +425,28 @@ def test_select_threshold_reached_exactly_selects(workspace, capsys):
     assert doc["threshold"] == 0.2
 
 
-@pytest.mark.parametrize("universe", ["all", "qi"])
-def test_select_works_on_codes_without_decoding_cells(workspace, capsys, monkeypatch, universe):
+@pytest.mark.parametrize("command", [
+    pytest.param(["select", "--assessment", "high.json", "--universe", "all"], id="all"),
+    pytest.param(["select", "--assessment", "high.json", "--universe", "qi"], id="qi"),
+    pytest.param(["score"], id="score"),
+    pytest.param(["classify"], id="classify"),
+])
+def test_select_works_on_codes_without_decoding_cells(workspace, capsys, monkeypatch, command):
     from qi_sentry.table import Table
 
     def decoded(table):
-        raise AssertionError("select decoded the cells")
+        raise AssertionError(f"{command[0]} decoded the table")
 
+    # values and cells are the only ways to a table's decoded strings
+    monkeypatch.setattr(Table, "values", property(decoded))
     monkeypatch.setattr(Table, "cells", property(decoded))
-    code, out, _ = run(capsys, *select_args(workspace, "high.json", "--universe", universe))
+    name, *extra = command
+    if "--assessment" in extra:
+        extra[1] = str(workspace / extra[1])
+    code, out, _ = run(
+        capsys, name, "--input", str(workspace / "demo.csv"),
+        "--rules", str(workspace / "rules.json"), *extra,
+    )
     assert code == 0
     assert "Age" in out
 
@@ -616,6 +629,36 @@ def test_generate_bad_distribution_is_one_error_line_and_exit_2(
     assert code == 2
     assert out == ""
     assert err == f"error: column 'a': {message}\n"
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"rows": 5, "columns": [{"name": "a", "distinct_values": 10**9,
+                                  "distribution": "zipf(1.2)"}]},
+         "column 'a': distinct_values must be from 1 to MAX_DISTINCT_VALUES = 10000000, "
+         "got 1000000000"),
+        ({"rows": 5, "columns": [{"name": "a", "distinct_values": 10**9}]},
+         "column 'a': distinct_values must be from 1 to MAX_DISTINCT_VALUES = 10000000, "
+         "got 1000000000"),
+        ({"rows": 10**9, "columns": [{"name": "a", "distinct_values": 2}]},
+         "rows x columns must be at most MAX_CELLS = 100000000, got 1000000000 x 1"),
+        ({"rows": 5 * 10**6, "columns": [{"name": f"c{i}", "distinct_values": 2}
+                                         for i in range(21)]},
+         "rows x columns must be at most MAX_CELLS = 100000000, got 5000000 x 21"),
+    ],
+)
+def test_generate_oversized_spec_is_refused_before_drawing(workspace, capsys, spec, message):
+    # the message names the limit, so the bound refused the spec before any
+    # allocation could fail
+    path = workspace / "huge.json"
+    path.write_text(json.dumps(spec))
+    output = workspace / "huge.csv"
+    code, out, err = run(capsys, "generate", "--spec", str(path), "--output", str(output))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not output.exists()
 
 
 @pytest.mark.parametrize("spec_seed, flags, seed", [(-5, [], -5), (3, ["--seed", "-1"], -1)])

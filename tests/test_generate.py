@@ -13,7 +13,7 @@ from qi_sentry import (
     rules_for_spec,
     uniqueness,
 )
-from qi_sentry.generate import load_spec, parse_spec
+from qi_sentry.generate import MAX_CELLS, MAX_DISTINCT_VALUES, load_spec, parse_spec
 
 
 def spec_of(*columns: ColumnSpec, rows=100, seed=7, name="syn") -> SyntheticSpec:
@@ -99,6 +99,16 @@ def test_at_least_one_column():
 def test_distinct_values_must_be_positive():
     with pytest.raises(InvalidSpec):
         ColumnSpec("a", 0)
+
+
+def test_spec_size_is_bounded():
+    # criterion 9's 1M x 30 fits; the bounds are inclusive
+    SyntheticSpec(rows=1_000_000, columns=tuple(ColumnSpec(f"c{i}", 10_000) for i in range(30)))
+    spec_of(ColumnSpec("a", MAX_DISTINCT_VALUES), rows=MAX_CELLS)
+    with pytest.raises(InvalidSpec, match="MAX_CELLS"):
+        spec_of(ColumnSpec("a", 5), ColumnSpec("b", 5), rows=MAX_CELLS // 2 + 1)
+    with pytest.raises(InvalidSpec, match="MAX_DISTINCT_VALUES"):
+        ColumnSpec("a", MAX_DISTINCT_VALUES + 1)
 
 
 def test_distribution_string_validated():

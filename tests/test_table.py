@@ -261,12 +261,32 @@ def test_columns_store_each_distinct_value_once(demo_table):
     assert [demo_table.values[position][c] for c in codes] == ["72", "72", "58", "45", "45"]
 
 
+def test_ingest_holds_codes_and_keys_until_values_are_read():
+    # per row: an int32 code and an 8-byte key come to 12 B; a decoded
+    # value adds a str of at least 56 B
+    n = 50_000
+    data = b"k\n" + b"".join(b"k%07d\n" % i for i in range(n))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = ingest_delimited(data)
+        ingested = tracemalloc.get_traced_memory()[0] - before
+        assert table.cardinality(0) == n
+        values = table.values
+        decoded = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert 8 * n <= ingested < 32 * n
+    assert decoded - ingested >= 56 * n
+    assert sorted(values[0]) == [f"k{i:07d}" for i in range(n)]
+
+
 def test_table_rejects_codes_of_the_wrong_length():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"codes of shape \(2,\), expected int32 of shape \(3,\)"):
         Table(
             name="t",
             columns=(table_module.ColumnMeta("a"),),
-            values=(("x",),),
+            distinct=(("x",),),
             codes=(np.zeros(2, dtype="int32"),),
             row_count=3,
         )
@@ -346,11 +366,14 @@ def delimited_inputs(draw):
 
 def assert_matches_reference(data: bytes, opts: IngestOptions) -> None:
     table = ingest_delimited(data, opts)
+    cardinalities = [table.cardinality(p) for p in range(len(table.columns))]
+    assert "values" not in vars(table)  # taking the cardinalities decoded nothing
     names, cells = reference_ingest(data, opts)
     assert table.column_names == names
     assert table.cells == cells
     assert table.row_count == (len(cells[0]) if cells else 0)
     assert Table.from_rows("t", names, list(zip(*cells))) == table
+    assert cardinalities == [len(values) for values in table.values]
     for values, codes in zip(table.values, table.codes):
         assert len(set(values)) == len(values)
         assert (np.bincount(codes, minlength=len(values)) > 0).all()
