@@ -21,16 +21,16 @@ import numpy as np
 
 from .classifier import ClassificationRules, ColumnClass, Rule
 from .errors import InvalidSpec, read_json
-from .table import Table, canonicalize
+from .table import Table, canonicalize, densify
 
 _ZIPF_RE = re.compile(r"^zipf\(\s*([0-9.eE+-]+)\s*\)$")
 _GLOB_CHARS = re.compile(r"[*?[]")
 
 # Specs are bounded before anything is drawn, so an oversized one is an
-# InvalidSpec and not a MemoryError or a killed process. A table holds
-# an int32 code per cell: 400 MB at MAX_CELLS, which admits 1M rows x 30
-# columns three times over. Drawing a column allocates int64 and float64
-# arrays over its whole alphabet: 80 MB each at MAX_DISTINCT_VALUES.
+# InvalidSpec and not a MemoryError or a killed process. A table holds a
+# code of 1 to 4 bytes per cell: at most 400 MB at MAX_CELLS, which admits
+# 1M rows x 30 columns three times over. Drawing a column allocates int64
+# and float64 arrays over its whole alphabet: 80 MB each at MAX_DISTINCT_VALUES.
 MAX_CELLS = 100_000_000
 MAX_DISTINCT_VALUES = 10_000_000
 
@@ -124,11 +124,9 @@ def generate_table(spec: SyntheticSpec) -> Table:
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     columns = []
     for col in spec.columns:
-        codes = _sample_codes(rng, col, spec.rows)
-        drawn = np.bincount(codes, minlength=col.distinct_values) > 0
-        compact = (np.cumsum(drawn) - 1).astype(np.int32)
+        drawn, codes = densify(_sample_codes(rng, col, spec.rows), col.distinct_values)
         values = [f"v{i}" for i in np.flatnonzero(drawn).tolist()]
-        columns.append((col.name, values, compact[codes]))
+        columns.append((col.name, values, codes))  # from_codes narrows them
     return Table.from_codes(spec.name, columns)
 
 

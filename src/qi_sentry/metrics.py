@@ -39,13 +39,7 @@ import numpy as np
 
 from .classifier import ClassifiedTable
 from .errors import MetricUndefined
-from .table import Table
-
-# _pair_ids densifies without sorting while the pair key space holds at
-# most this many keys per row. On 700k random rows (2-vCPU Xeon, numpy
-# 2.4) marking took 24 ms at 4 keys per row and np.unique 50 ms; the
-# two meet near 8 keys per row.
-_SORT_FREE_FACTOR = 4
+from .table import _SORT_FREE_FACTOR, Table, densify
 
 # Group ids of a subset, and how many groups there are; no columns put
 # every row in one group, which needs no ids.
@@ -111,22 +105,18 @@ def _pair_ids(
 ) -> tuple[np.ndarray, int]:
     """Dense ids of the (a, b) pairs of ``n`` rows, and how many there are.
 
-    ``a`` and ``b`` hold dense ids in [0, card_a) and [0, card_b). Dense
-    ids never exceed the row count, and int32 codes bound that, so every
-    pair key a * card_b + b stays below n**2 < 2**62. A key space of at
-    most ``_SORT_FREE_FACTOR * n`` is densified by marking the keys seen
-    and taking a running count; a larger one goes through np.unique.
+    ``a`` and ``b`` hold dense ids in [0, card_a) and [0, card_b), and
+    neither count exceeds ``n``, so every pair key a * card_b + b stays
+    below n**2, within int64 for any n below 2**31. A key space of at
+    most ``_SORT_FREE_FACTOR * n`` is densified without a sort
+    (:func:`qi_sentry.table.densify`); a larger one goes through np.unique.
     """
     keys = np.multiply(a, card_b, dtype=np.int64)
     keys += b
     space = card_a * card_b
     if space <= _SORT_FREE_FACTOR * n:
-        seen = np.zeros(space, dtype=bool)
-        seen[keys] = True
-        rank = np.cumsum(seen, dtype=np.int32)
-        ids = rank[keys]
-        ids -= 1
-        return ids, int(rank[-1])
+        seen, ids = densify(keys, space)
+        return ids, int(np.count_nonzero(seen))
     uniques, ids = np.unique(keys, return_inverse=True)
     return ids, len(uniques)
 

@@ -6,15 +6,15 @@ Missing is modeled as ``None`` and all missing cells in a column compare
 equal for grouping purposes, i.e. they form one shared symbol.
 
 Each column is stored factorized, once, when the table is built: its
-distinct values and an ``int32`` array holding, for every row, the
-position of that row's value among them. Every distinct value occurs
-at least once, so a column's cardinality is their number. The metrics
-read only the codes and the cardinalities. A table built from Python
-cells keeps its distinct values as a tuple; an ingested table keeps
-them as the byte keys that ingest merged, and decodes each column's
-keys to strings once, on the first read of ``values``, ``cells``,
-``to_delimited`` or ``==``. ``cells`` decodes the codes too, on first
-use.
+distinct values and, for every row, the position of that row's value
+among them, in the narrowest dtype that holds them (:func:`code_dtype`).
+Every distinct value occurs at least once, so a column's cardinality is
+their number. The metrics read only the codes and the cardinalities. A
+table built from Python cells keeps its distinct values as a tuple; an
+ingested table keeps them as the byte keys that ingest merged, and
+decodes each column's keys to strings once, on the first read of
+``values``, ``cells``, ``to_delimited`` or ``==``. ``cells`` decodes the
+codes too, on first use.
 
 Ingest reads the bytes in blocks of about 1 MiB, each cut after its
 last newline. A block with no quote, CR or NUL byte, a one-byte ASCII
@@ -32,14 +32,15 @@ cells of a ``csv.reader`` chunk are joined back into UTF-8 bytes, each
 ended by 0xff and with NUL written as 0xfe, neither of which UTF-8
 holds. Each field's start and length are moved past its leading and
 trailing ASCII whitespace, so the keys are canonical. Each column of a
-block or chunk is factorized with ``np.unique`` on zero-padded keys:
-``uint64`` up to 8 bytes, and above that ``S{w}`` in width classes of
-powers of two, so no key is padded to more than twice its length. At
-the end, one ``np.unique`` per class merges a column's keys across
-blocks. Equal values have equal lengths and so meet in one class. The
-empty key and the NA token become missing, and the table keeps the
-other merged keys undecoded. Values are ordered by class, then by key,
-with missing last.
+block or chunk is factorized on zero-padded keys, ``uint64`` up to 8
+bytes and above that ``S{w}`` in width classes of powers of two, so no
+key is padded to more than twice its length: with ``np.unique``, or
+for ``uint64`` keys of a small span with :func:`densify`, no sort. At
+the end, one factorization per class merges a column's keys across
+blocks, and one take per block writes its codes. Equal values have
+equal lengths and so meet in one class. The empty key and the NA token
+become missing, and the table keeps the other merged keys undecoded.
+Values are ordered by class, then by key, with missing last.
 
 Cell comparison everywhere downstream is exact, case-sensitive string
 equality: ``"72"`` and ``"72.0"`` are different symbols on purpose.
@@ -80,6 +81,40 @@ _BOM = b"\xef\xbb\xbf"
 
 # _LOW_BYTES[k] keeps the first k bytes of a little-endian uint64 key
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype="<u8")
+
+# Ingest's short keys and metrics._pair_ids' pair keys skip the sort
+# (densify) while their range holds at most this many values per key.
+# On 700k random rows (2-vCPU Xeon, numpy 2.4) marking took 24 ms at 4
+# values per key and np.unique 50 ms; the two meet near 8 per key.
+_SORT_FREE_FACTOR = 4
+
+
+def code_dtype(cardinality: int) -> np.dtype:
+    """The narrowest dtype that codes ``cardinality`` values: uint8, uint16 or int32."""
+    return np.dtype("u1" if cardinality <= 1 << 8 else "u2" if cardinality <= 1 << 16 else "i4")
+
+
+def densify(keys: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """Which of 0 .. ``space`` - 1 occur in ``keys``, and each key's int32 rank among those.
+
+    As ``np.unique(keys, return_inverse=True)``, from a mark and a running count, unsorted.
+    """
+    seen = np.zeros(space, dtype=bool)
+    seen[keys] = True
+    ids = np.cumsum(seen, dtype=np.int32)[keys]
+    ids -= 1
+    return seen, ids
+
+
+def _factorize(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)``, without sorting uint64 keys of a small span."""
+    if keys.dtype == np.uint64:
+        low = keys.min()
+        space = int(keys.max() - low) + 1
+        if space <= _SORT_FREE_FACTOR * len(keys):
+            seen, ids = densify((keys - low).view(np.int64), space)
+            return np.flatnonzero(seen).astype(np.uint64) + low, ids
+    return np.unique(keys, return_inverse=True)
 
 
 def canonicalize(raw: CellValue) -> CellValue:
@@ -130,15 +165,15 @@ class ColumnMeta:
 class Table:
     """Column-major table of canonical cells, stored as codes.
 
-    ``values[p]`` holds column p's distinct cells and ``codes[p]`` (int32,
-    read-only) indexes it per row; ``cardinality(p)`` is ``len(values[p])``
-    without decoding. ``distinct[p]`` holds the same values as given: a
-    tuple, or for an ingested column its undecoded keys, which ``values``
-    decodes on first read. Instances are immutable after construction and
-    safe to share across threads: the decode is deterministic, so two
-    threads that race on it only decode twice. Build them with
-    :meth:`from_rows`, :meth:`from_codes` or :func:`ingest_delimited`
-    rather than calling the dataclass directly.
+    ``values[p]`` holds column p's distinct cells and ``codes[p]`` (of
+    ``code_dtype(cardinality(p))``, read-only) indexes it per row;
+    ``cardinality(p)`` is ``len(values[p])`` without decoding. ``distinct[p]``
+    holds the same values as given: a tuple, or for an ingested column its
+    undecoded keys, which ``values`` decodes on first read. Instances are
+    immutable after construction and safe to share across threads: the
+    decode is deterministic, so two threads that race on it only decode
+    twice. Build them with :meth:`from_rows`, :meth:`from_codes` or
+    :func:`ingest_delimited` rather than calling the dataclass directly.
 
     Raises ``ValueError`` for a table with no columns, or a column name
     that is empty, has ASCII whitespace at an edge or repeats another
@@ -169,11 +204,12 @@ class Table:
             if key in index:
                 raise ValueError(f"duplicate column name {meta.name!r}")
             index[key] = pos
-        for meta, codes in zip(self.columns, self.codes):
-            if codes.dtype != np.int32 or codes.shape != (self.row_count,):
+        for meta, distinct, codes in zip(self.columns, self.distinct, self.codes):
+            dtype = code_dtype(len(distinct))
+            if codes.dtype != dtype or codes.shape != (self.row_count,):
                 raise ValueError(
                     f"column {meta.name!r} has {codes.dtype} codes of shape {codes.shape}, "
-                    f"expected int32 of shape ({self.row_count},)"
+                    f"expected {dtype} of shape ({self.row_count},)"
                 )
             codes.flags.writeable = False
         object.__setattr__(self, "_index", index)
@@ -194,17 +230,28 @@ class Table:
     def from_codes(
         cls, name: str, columns: Sequence[tuple[str, Sequence[CellValue], np.ndarray]]
     ) -> "Table":
-        """Build a table from (column name, distinct values, int32 codes) triples.
+        """Build a table from (column name, distinct values, integer codes) triples.
 
-        Row i of a column holds ``values[codes[i]]``. The values must be
-        canonical and distinct, and each must occur at least once.
+        Row i of a column holds ``values[codes[i]]``, of canonical distinct
+        values; a code out of range or a value in no row is a ``ValueError``.
         """
+        checked = []
+        for col_name, values, codes in columns:
+            values, codes = tuple(values), np.asarray(codes)
+            if codes.dtype.kind not in "iu" or codes.size and not (
+                0 <= codes.min() <= codes.max() < len(values)
+            ):
+                raise ValueError(f"column {col_name!r}: codes must be ints in [0, {len(values)})")
+            codes = codes.astype(code_dtype(len(values)), copy=False)
+            if not np.bincount(codes, minlength=len(values)).all():
+                raise ValueError(f"column {col_name!r}: a value occurs in no row")
+            checked.append((col_name, values, codes))
         return cls(
             name=name,
-            columns=tuple(ColumnMeta(col_name) for col_name, _, _ in columns),
-            distinct=tuple(tuple(values) for _, values, _ in columns),
-            codes=tuple(codes for _, _, codes in columns),
-            row_count=len(columns[0][2]) if columns else 0,
+            columns=tuple(ColumnMeta(col_name) for col_name, _, _ in checked),
+            distinct=tuple(values for _, values, _ in checked),
+            codes=tuple(codes for _, _, codes in checked),
+            row_count=len(checked[0][2]) if checked else 0,
         )
 
     @classmethod
@@ -221,7 +268,7 @@ class Table:
         coded = []
         for col_name, cells in zip(column_names, cols):
             ids = dict(zip(dict.fromkeys(cells), count()))
-            codes = np.fromiter(map(ids.__getitem__, cells), np.int32, len(cells))
+            codes = np.fromiter(map(ids.__getitem__, cells), code_dtype(len(ids)), len(cells))
             coded.append((col_name, tuple(ids), codes))
         return cls.from_codes(name, coded)
 
@@ -331,8 +378,8 @@ class _Columns:
 
     ``keys[j]`` holds column j's distinct canonical keys, block by block
     and in width classes (uint64 for up to 8 bytes, ``S{w}`` of a power of
-    two ``w`` above), and ``parts[j]`` holds, for every cell, the index of
-    its key in their concatenation. Both parsers add to it.
+    two ``w`` above); ``parts[j]`` holds each block's offset into them and
+    its cells' narrow indexes from there. Both parsers add to it.
     """
 
     def __init__(self, header: list[str] | None):
@@ -350,7 +397,7 @@ class _Columns:
                 raise IngestError(f"duplicate column name {name!r}", row=1)
             seen.add(name.lower())
         self.keys: list[list[np.ndarray]] = [[] for _ in self.names]
-        self.parts: list[list[np.ndarray]] = [[np.empty(0, dtype=np.int32)] for _ in self.names]
+        self.parts: list[list[tuple[int, np.ndarray]]] = [[] for _ in self.names]
         self.rows = 0
 
     @property
@@ -379,7 +426,6 @@ class _Columns:
         for keys, part, column_starts, column_lengths in zip(
             self.keys, self.parts, starts, lengths
         ):
-            codes = np.empty(len(column_starts), dtype=np.int32)
             # keys in width classes, uint64 up to 8 bytes and then powers of two, so none is
             # padded to over twice its bytes; often a column's fields all fall in one
             shortest, longest = max(8, int(column_lengths.min())), int(column_lengths.max())
@@ -387,14 +433,15 @@ class _Columns:
             if (shortest - 1).bit_length() < (longest - 1).bit_length():
                 exponents = np.frexp(np.maximum(column_lengths, 8) - 1)[1]
                 classes = [exponents == e for e in np.flatnonzero(np.bincount(exponents))]
+            offset = sum(map(len, keys))
+            local = np.empty(len(column_starts), dtype=np.int32)
             for rows in classes:
-                distinct, inverse = np.unique(
-                    _field_keys(buf, column_starts[rows], column_lengths[rows]),
-                    return_inverse=True,
+                distinct, inverse = _factorize(
+                    _field_keys(buf, column_starts[rows], column_lengths[rows])
                 )
-                codes[rows] = inverse + sum(map(len, keys))
+                local[rows] = inverse + (sum(map(len, keys)) - offset)
                 keys.append(distinct)
-            part.append(codes)
+            part.append((offset, local.astype(code_dtype(sum(map(len, keys)) - offset))))
         self.rows += starts.shape[1]
 
     def table(self, opts: IngestOptions) -> Table:
@@ -403,7 +450,7 @@ class _Columns:
         na = opts.na_token.encode("utf-8", "surrogatepass").replace(b"\0", b"\xfe")
         distinct, codes = [], []
         for j in range(len(self.names)):
-            column_keys, column_codes = _merge(self.keys[j], np.concatenate(self.parts[j]), na)
+            column_keys, column_codes = _merge(self.keys[j], self.parts[j], self.rows, na)
             self.keys[j] = self.parts[j] = []  # free the column's blocks once it is merged
             distinct.append(column_keys)
             codes.append(column_codes)
@@ -416,12 +463,12 @@ class _Columns:
         )
 
 
-def _merge(keys: list[np.ndarray], slots: np.ndarray, na: bytes) -> tuple[_Keys, np.ndarray]:
-    """A column's distinct keys and codes, from its blocks' keys and each cell's slot.
+def _merge(keys: list[np.ndarray], parts: list, rows: int, na: bytes) -> tuple[_Keys, np.ndarray]:
+    """A column's distinct keys and ``rows`` codes, from its blocks' keys and parts.
 
-    ``slots`` indexes the concatenation of ``keys``. Equal keys are in the
-    same width class, so one ``np.unique`` per class merges them. The
-    empty key and ``na`` are missing, which is coded last.
+    Each part holds a block's offset into ``keys`` and its cells' indexes
+    from there. Equal keys share a width class, so one factorization per
+    class merges them. The empty key and ``na`` are missing, coded last.
     """
     sizes = [len(k) for k in keys]
     ids = np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1])
@@ -431,7 +478,7 @@ def _merge(keys: list[np.ndarray], slots: np.ndarray, na: bytes) -> tuple[_Keys,
     kept_so_far = 0
     for width in sorted(set(widths)):
         same = [i for i, w in enumerate(widths) if w == width]
-        distinct, inverse = np.unique(np.concatenate([keys[i] for i in same]), return_inverse=True)
+        distinct, inverse = _factorize(np.concatenate([keys[i] for i in same]))
         raw = distinct.view("S8") if distinct.dtype.kind == "u" else distinct
         kept = (raw != b"") & (raw != na)
         code = np.where(kept, kept_so_far + np.cumsum(kept) - 1, -1)
@@ -440,7 +487,12 @@ def _merge(keys: list[np.ndarray], slots: np.ndarray, na: bytes) -> tuple[_Keys,
         kept_so_far += len(values[-1])
     missing = code_of < 0
     code_of[missing] = kept_so_far
-    return _Keys(tuple(values), bool(missing.any())), code_of[slots]
+    code_of = code_of.astype(code_dtype(kept_so_far + missing.any()))
+    codes, start = np.empty(rows, dtype=code_of.dtype), 0
+    for offset, local in parts:  # one take per block, straight into the codes
+        start += len(local)
+        code_of[offset:].take(local, out=codes[start - len(local) : start], mode="clip")
+    return _Keys(tuple(values), bool(missing.any())), codes
 
 
 def _blocks(stream: IO[bytes]) -> Iterator[bytes]:

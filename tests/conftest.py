@@ -30,6 +30,14 @@ def all_qi_rules() -> ClassificationRules:
     )
 
 
+def column_of(cardinality: int, missing: bool, rng: random.Random, repeats: int) -> list:
+    """Shuffled cells of exactly ``cardinality`` values, one of them missing if asked."""
+    cells: list[str | None] = [f"w{i}" for i in range(cardinality - missing)] + [None] * missing
+    cells += rng.choices(cells, k=repeats)
+    rng.shuffle(cells)
+    return cells
+
+
 def random_table(
     rng: random.Random,
     max_rows: int = 20,

@@ -6,6 +6,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,13 +30,15 @@ from qi_sentry import (
     threshold_for,
     uniqueness,
 )
-from qi_sentry.metrics import GroupingEngine
+from qi_sentry.metrics import GroupingEngine, ScoreCounts
 from qi_sentry.oracle import (
     oracle_equivalence_class_count,
     oracle_influence,
     oracle_uniqueness,
 )
-from qi_sentry.table import canonicalize
+from qi_sentry.table import canonicalize, code_dtype
+
+from conftest import column_of
 
 CELLS = st.sampled_from(["a", "b", "c", None])
 GRADE_RANK = {UserGrade.LOW: 0, UserGrade.MIDDLE: 1, UserGrade.HIGH: 2}
@@ -175,9 +178,7 @@ def test_row_duplication_kills_uniqueness_preserves_influence(table):
         assert influence(doubled, name) == influence(table, name)
 
 
-@settings(max_examples=500, deadline=None)
-@given(tables())
-def test_engine_matches_pairwise_oracle(table):
+def assert_engine_matches_oracle(table: Table) -> None:
     engine = GroupingEngine(table)
     assert engine.class_count(table.column_names) == oracle_equivalence_class_count(
         table, table.column_names
@@ -185,6 +186,70 @@ def test_engine_matches_pairwise_oracle(table):
     for name in table.column_names:
         assert uniqueness(table, name) == oracle_uniqueness(table, name)
         assert influence(table, name) == oracle_influence(table, name)
+
+
+@settings(max_examples=500, deadline=None)
+@given(tables())
+def test_engine_matches_pairwise_oracle(table):
+    assert_engine_matches_oracle(table)
+
+
+@st.composite
+def tables_with_a_column_near_256_values(draw):
+    rnd = draw(st.randoms(use_true_random=False))
+    wide = column_of(
+        draw(st.sampled_from([255, 256, 257])), draw(st.booleans()), rnd, draw(st.integers(0, 60))
+    )
+    small = [[rnd.choice(["a", "b", None]) for _ in wide] for _ in range(draw(st.integers(1, 3)))]
+    small.insert(draw(st.integers(0, len(small))), wide)
+    return Table.from_rows("t", [f"c{i}" for i in range(len(small))], list(zip(*small)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(tables_with_a_column_near_256_values())
+def test_engine_matches_pairwise_oracle_near_256_values(table):
+    assert [codes.dtype for codes in table.codes] == [
+        code_dtype(table.cardinality(p)) for p in range(len(table.columns))
+    ]
+    assert_engine_matches_oracle(table)
+
+
+def set_counts(table: Table, scored: list[str], universe: list[str]) -> list[ScoreCounts]:
+    """Each scored column's counts, from Python sets of row projections."""
+    cells = dict(zip(table.column_names, table.cells))
+
+    def classes(names: list[str]) -> int:
+        return len(set(zip(*(cells[n] for n in names)))) if names else 1
+
+    return [
+        ScoreCounts(
+            sum(1 for k in Counter(cells[name]).values() if k == 1),
+            table.row_count,
+            classes(universe),
+            classes([n for n in universe if n != name]),
+        )
+        for name in scored
+    ]
+
+
+@pytest.mark.parametrize("missing", [False, True])
+@pytest.mark.parametrize("cardinality", [65_535, 65_536, 65_537])
+def test_score_columns_matches_set_counts_near_65536_values(cardinality, missing):
+    # the pairwise oracle is quadratic, too slow at this size
+    rnd = random.Random(cardinality + missing)
+    wide = column_of(cardinality, missing, rnd, cardinality // 4)
+    columns = [wide, [rnd.choice(["a", "b", "c"]) for _ in wide], rnd.choices("xy", k=len(wide))]
+    names = ["c0", "c1", "c2"]
+    table = Table.from_rows("t", names, list(zip(*columns)))
+    assert table.codes[0].dtype == code_dtype(cardinality)
+    classified = classify(
+        table, ClassificationRules(rules=tuple(Rule(n, ColumnClass.QI) for n in names[:2]))
+    )
+    for policy, universe in [
+        (UniversePolicy.ALL_COLUMNS, names), (UniversePolicy.PRIMARY_QIS_ONLY, names[:2])
+    ]:
+        scores = score_columns(classified, policy)
+        assert [s.counts for s in scores] == set_counts(table, names[:2], universe)
 
 
 # -- selection ---------------------------------------------------------------

@@ -15,7 +15,10 @@ from hypothesis import strategies as st
 import qi_sentry.table as table_module
 from qi_sentry import IngestError, IngestOptions, NoSuchColumn, Table, ingest_delimited
 from qi_sentry.cli import main
-from qi_sentry.table import canonicalize
+from qi_sentry.generate import ColumnSpec, SyntheticSpec, generate_table
+from qi_sentry.table import canonicalize, code_dtype
+
+from conftest import column_of
 
 DEMO_CSV = b"""Weight,Age,Gender,Zipcode
 72,45,M,75145
@@ -257,12 +260,12 @@ def test_columns_store_each_distinct_value_once(demo_table):
     position = demo_table.position_of("Weight")
     assert sorted(demo_table.values[position]) == ["45", "58", "72"]
     codes = demo_table.codes[position]
-    assert codes.dtype == "int32"
+    assert codes.dtype == "uint8"
     assert [demo_table.values[position][c] for c in codes] == ["72", "72", "58", "45", "45"]
 
 
 def test_ingest_holds_codes_and_keys_until_values_are_read():
-    # per row: an int32 code and an 8-byte key come to 12 B; a decoded
+    # per row: a uint16 code and an 8-byte key come to 10 B; a decoded
     # value adds a str of at least 56 B
     n = 50_000
     data = b"k\n" + b"".join(b"k%07d\n" % i for i in range(n))
@@ -282,7 +285,7 @@ def test_ingest_holds_codes_and_keys_until_values_are_read():
 
 
 def test_table_rejects_codes_of_the_wrong_length():
-    with pytest.raises(ValueError, match=r"codes of shape \(2,\), expected int32 of shape \(3,\)"):
+    with pytest.raises(ValueError, match=r"codes of shape \(2,\), expected uint8 of shape \(3,\)"):
         Table(
             name="t",
             columns=(table_module.ColumnMeta("a"),),
@@ -299,6 +302,26 @@ def test_tables_built_in_different_orders_compare_equal():
     )
     assert by_rows == coded
     assert by_rows != Table.from_rows("t", ["a"], [["y"], ["y"], ["x"]])
+
+
+@pytest.mark.parametrize("values, codes", [
+    (("x", "y", "z"), np.array([0, 1, 1])),  # z is in no row: 3 values, 2 classes
+    (("x", "y"), np.array([0, -1])),  # would read back as y
+    (("x", "y"), np.array([0, 1, 2])),
+    (tuple(f"v{i}" for i in range(256)), np.array([*range(256), 300])),  # 300 is 44 as uint8
+    ((), np.array([0], dtype=np.uint8)),
+    (("x",), np.array([], dtype=np.int32)),
+    (("x", "y"), np.array([0.0, 1.0])),
+])
+def test_from_codes_rejects_codes_that_do_not_index_every_value(values, codes):
+    with pytest.raises(ValueError, match="column 'a'"):
+        Table.from_codes("t", [("a", values, codes)])
+
+
+def test_from_codes_narrows_the_codes_it_is_given():
+    table = Table.from_codes("t", [("a", ("x", "y"), np.array([1, 0, 1], dtype=np.int64))])
+    assert table.codes[0].dtype == np.uint8
+    assert table.cells == (("y", "x", "y"),)
 
 
 # -- ingest against the former cell-by-cell parser ----------------------------
@@ -850,3 +873,105 @@ def test_score_on_arbitrary_bytes_exits_0_or_2_with_one_error_line(tmp_path_fact
     if code == 2:
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1
+
+
+# -- narrow codes, and the sort-free factorization of short keys ---------------
+
+@pytest.mark.parametrize("cardinality, dtype", [
+    (0, np.uint8), (1, np.uint8), (256, np.uint8), (257, np.uint16),
+    (65_536, np.uint16), (65_537, np.int32), (1 << 31, np.int32),
+])
+def test_code_dtype_is_the_narrowest_that_holds_the_cardinality(cardinality, dtype):
+    assert code_dtype(cardinality) == dtype
+
+
+def assert_dict_factorized(table: Table, cells: list[str | None]) -> None:
+    """The table's one column holds ``cells``, coded in the narrowest dtype, as a dict would."""
+    ids = dict.fromkeys(cells)
+    (values,), (codes,) = table.values, table.codes
+    assert table.cardinality(0) == len(values) == len(ids)
+    assert codes.dtype == code_dtype(len(ids))
+    assert set(values) == set(ids)
+    assert [values[c] for c in codes.tolist()] == cells
+
+
+BOUNDARIES = [256, 257, 65_536, 65_537]
+
+
+@pytest.mark.parametrize("missing", [False, True])
+@pytest.mark.parametrize("cardinality", BOUNDARIES)
+@pytest.mark.parametrize("build", ["numpy", "csv.reader", "from_rows"])
+def test_codes_are_narrowest_at_the_dtype_boundaries(
+    monkeypatch, tokenized, build, cardinality, missing
+):
+    monkeypatch.setattr(table_module, "_BLOCK_BYTES", 1 << 10)  # several blocks to merge
+    cells = column_of(cardinality, missing, random.Random(cardinality), cardinality // 3)
+    lines = ["NA" if cell is None else cell for cell in cells]
+    if build == "csv.reader":
+        lines[0] = f'"{lines[0]}"'  # a quote sends the whole input to csv.reader
+    if build == "from_rows":
+        table = Table.from_rows("t", ["c"], [[cell] for cell in cells])
+    else:
+        table = ingest_delimited(("c\n" + "\n".join(lines) + "\n").encode())
+        assert len(tokenized) > 1 and all(tokenized) if build == "numpy" else tokenized == [False]
+    assert_dict_factorized(table, cells)
+
+
+@pytest.mark.parametrize("cardinality", BOUNDARIES)
+def test_generated_codes_are_narrowest_at_the_dtype_boundaries(cardinality):
+    rows = 16 * cardinality  # every symbol is drawn
+    table = generate_table(SyntheticSpec(rows, (ColumnSpec("c", cardinality),), seed=3))
+    drawn = np.random.Generator(np.random.PCG64(3)).integers(0, cardinality, size=rows)
+    assert table.cardinality(0) == cardinality
+    assert_dict_factorized(table, [f"v{i}" for i in drawn.tolist()])
+
+
+def test_factorize_sorts_only_keys_whose_span_exceeds_the_bound(monkeypatch):
+    spaces = []
+    densify = table_module.densify
+    monkeypatch.setattr(
+        table_module, "densify", lambda keys, space: spaces.append(space) or densify(keys, space)
+    )
+    n = 10
+    bound = table_module._SORT_FREE_FACTOR * n
+    for space, sort_free in [(1, True), (bound, True), (bound + 1, False)]:
+        low = (1 << 63) + 5  # keys above 2**63 stay exact
+        keys = np.array([low, low + space - 1] + [low + space // 2] * (n - 2), dtype=np.uint64)
+        spaces.clear()
+        distinct, inverse = table_module._factorize(keys)
+        expected, expected_inverse = np.unique(keys, return_inverse=True)
+        assert spaces == ([space] if sort_free else [])
+        assert distinct.dtype == np.uint64 and np.array_equal(distinct, expected)
+        assert np.array_equal(inverse, expected_inverse)
+
+
+FACTORIZE_CASES = {
+    # one-byte keys "a" to "l" span 12 = 4 x 3 fields, "a" to "m" one more
+    "at the bound": b"c\na\nl\ne\n",
+    "past the bound": b"c\na\nm\ne\n",
+    "one distinct key": b"c\nx\nx\nx\n",
+    "the empty key": b"a,b\n,1\nx,1\n ,2\n",
+    "the NA token": b"a,b\nNA,1\nx,NA\nNA,2\nNA,NA\n",
+    # two width classes in one block, and over 256 values in a csv.reader chunk
+    "two width classes": b"a,b\nshort,1\n" + b"x" * 40 + b",2\nshort,3\nabcdefghijk,4\n",
+    "csv.reader": b'a,b\n"q",1\n' + b"".join(b"%d,%d\n" % (i, i % 7) for i in range(300)),
+    "wide and narrow blocks": b"a\n" + b"".join(b"%d\n" % (i % 300) for i in range(3000)),
+}
+
+
+@pytest.mark.parametrize("block", [1 << 20, 64])
+@pytest.mark.parametrize("data", FACTORIZE_CASES.values(), ids=FACTORIZE_CASES.keys())
+def test_both_factorize_branches_give_equal_tables_and_codes(monkeypatch, data, block):
+    monkeypatch.setattr(table_module, "_BLOCK_BYTES", block)
+    assert_matches_reference(data, IngestOptions(table_name="t"))
+    tables = []
+    # never sort-free, as shipped, and for uint64 keys of a span up to 64 KiB per key
+    for factor in (0, table_module._SORT_FREE_FACTOR, 1 << 16):
+        monkeypatch.setattr(table_module, "_SORT_FREE_FACTOR", factor)
+        tables.append(ingest_delimited(data))
+    by_sort = tables[0]
+    for table in tables[1:]:
+        assert table == by_sort and table.values == by_sort.values
+        for codes, sorted_codes in zip(table.codes, by_sort.codes):
+            assert codes.dtype == sorted_codes.dtype
+            assert np.array_equal(codes, sorted_codes)
