@@ -42,6 +42,10 @@ equal lengths and so meet in one class. The empty key and the NA token
 become missing, and the table keeps the other merged keys undecoded.
 Values are ordered by class, then by key, with missing last.
 
+The writer quotes and encodes each distinct value once, 0xff-padded to its
+column's widest, and gathers ``_WRITE_ROWS`` rows at a time from the codes
+into one byte buffer, less the padding: it makes no string per cell.
+
 Cell comparison everywhere downstream is exact, case-sensitive string
 equality: ``"72"`` and ``"72.0"`` are different symbols on purpose.
 """
@@ -51,7 +55,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, count, islice
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -77,7 +81,14 @@ _CHUNK_RECORDS = 4096
 # of 256 KiB, 1 MiB, 4 MiB and 16 MiB, in about the same time.
 _BLOCK_BYTES = 1 << 20
 
+# Rows gathered per step of to_delimited. On the same machine, a 700k-row,
+# 7.7M-cell table was written in 0.16 s in steps of 1024 rows, in 0.13 s from
+# 4096 to 65536 (46-48 MB traced peak) and in 0.15 s (69 MB) in one step.
+_WRITE_ROWS = 1 << 14
+
 _BOM = b"\xef\xbb\xbf"
+
+_utf8 = partial(str.encode, encoding="utf-8", errors="surrogatepass")  # keeps lone surrogates
 
 # _LOW_BYTES[k] keeps the first k bytes of a little-endian uint64 key
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype="<u8")
@@ -232,12 +243,18 @@ class Table:
     ) -> "Table":
         """Build a table from (column name, distinct values, integer codes) triples.
 
-        Row i of a column holds ``values[codes[i]]``, of canonical distinct
-        values; a code out of range or a value in no row is a ``ValueError``.
+        Row i of a column holds ``values[codes[i]]``. Repeated or uncanonical
+        values, codes out of range and values in no row are a ``ValueError``.
         """
         checked = []
         for col_name, values, codes in columns:
             values, codes = tuple(values), np.asarray(codes)
+            if len(set(values)) < len(values):
+                raise ValueError(f"column {col_name!r}: a value is repeated")
+            flat = "".join(filter(None, values))  # whitespace scans; values only on a hit
+            suspect = values if "" in values or any(ws in flat for ws in _ASCII_WS) else ()
+            if bad := [v for v in suspect if v is not None and canonicalize(v) != v]:
+                raise ValueError(f"column {col_name!r}: value {bad[0]!r} is not canonical")
             if codes.dtype.kind not in "iu" or codes.size and not (
                 0 <= codes.min() <= codes.max() < len(values)
             ):
@@ -309,9 +326,9 @@ class Table:
         """Render back to delimited text, missing cells as the sentinel, lines ended by LF.
 
         As RFC 4180 has it, a field is quoted, each ``"`` in it doubled, when
-        it holds the delimiter, a quote, CR or LF. Re-ingesting the output
-        with the same options yields an equal table, provided no present
-        value equals the sentinel itself.
+        it holds the delimiter, a quote, CR or LF: once per distinct value,
+        then 0xff-padded (see the module docstring). It re-ingests with the same
+        options as an equal table; a value equal to the sentinel is an IngestError.
         """
         opts = options or IngestOptions()
         special = {opts.delimiter, '"', "\r", "\n"}
@@ -321,12 +338,23 @@ class Table:
             plain = special.isdisjoint(text) and (text or not lone)
             return text if plain else '"' + text.replace('"', '""') + '"'
 
-        columns = [
-            _decode([quoted(opts.na_token if v is None else v) for v in values], codes)
-            for values, codes in zip(self.values, self.codes)
-        ]
-        header = map(quoted, self.column_names)
-        return "".join(opts.delimiter.join(row) + "\n" for row in chain([header], zip(*columns)))
+        items = []
+        for pos, (meta, values) in enumerate(zip(self.columns, self.values), 1):
+            if opts.na_token in values:  # it would read back as missing
+                raise IngestError(f"NA token {opts.na_token!r} is a value of column {meta.name!r}")
+            texts = [opts.na_token if v is None else v for v in values]
+            flat = "".join(texts)  # a scan per special character, and quotes only if one hits
+            if lone or any(s in flat for s in special):
+                texts = list(map(quoted, texts))
+            items.append(_padded(texts, "\n" if pos == len(self.columns) else opts.delimiter))
+        out = bytearray(_utf8(opts.delimiter.join(map(quoted, self.column_names)) + "\n"))
+        bounds = np.cumsum([0, *(item.itemsize for item in items)])
+        for lo in range(0, self.row_count, _WRITE_ROWS):
+            buf = np.empty((min(_WRITE_ROWS, self.row_count - lo), bounds[-1]), dtype=np.uint8)
+            for item, codes, start, stop in zip(items, self.codes, bounds, bounds[1:]):
+                buf[:, start:stop].view(item.dtype)[:, 0] = item.take(codes[lo : lo + _WRITE_ROWS])
+            out.extend(buf[buf != 0xFF])  # one copy, through the buffer protocol
+        return out.decode("utf-8", "surrogatepass")  # as _utf8 encoded it
 
 
 @dataclass(frozen=True)
@@ -353,6 +381,18 @@ class _Keys:
 def _decode(values: Sequence[object], codes: np.ndarray) -> list:
     """``[values[c] for c in codes]``, with one numpy take."""
     return np.array(values, dtype=object)[codes].tolist()
+
+
+def _padded(texts: list[str], end: str) -> np.ndarray:
+    """Each text ended by ``end``, in UTF-8 and padded with 0xff to the longest, as ``V{w}``."""
+    joined = end.join([*texts, ""])
+    if not joined.isascii():  # O(1); then count each text's bytes
+        texts, end = [_utf8(t) for t in texts], _utf8(end)
+    lengths = np.fromiter(map(len, texts), np.intp, len(texts)) + len(end)
+    width = int(lengths.max(initial=1))
+    out = np.full((len(texts), width), 0xFF, dtype=np.uint8)
+    out[np.arange(width) < lengths[:, None]] = np.frombuffer(_utf8(joined), dtype=np.uint8)
+    return out.view(f"V{width}").ravel()
 
 
 def _take(

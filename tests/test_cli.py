@@ -588,6 +588,18 @@ def test_na_token_with_edge_whitespace_is_one_error_line_and_exit_2(workspace, c
     assert not output.exists()
 
 
+def test_generate_na_token_equal_to_a_value_is_one_error_line_and_exit_2(workspace, capsys):
+    # symbol 0 is "v0": written as is, its cells would read back as missing
+    spec = workspace / "gspec.json"
+    spec.write_text(json.dumps({"rows": 5, "columns": [{"name": "a", "distinct_values": 1}]}))
+    output = workspace / "out.csv"
+    argv = ["generate", "--spec", str(spec), "--output", str(output), "--na-token", "v0"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: NA token 'v0' is a value of column 'a'\n"
+    assert not output.exists()
+
+
 @pytest.mark.parametrize("delimiter", [",", "\t", ";", "|"])
 def test_generate_round_trips_through_ingest(workspace, capsys, delimiter):
     spec = {

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import random
+import re
 import time
 import tracemalloc
 
@@ -316,6 +317,23 @@ def test_tables_built_in_different_orders_compare_equal():
 def test_from_codes_rejects_codes_that_do_not_index_every_value(values, codes):
     with pytest.raises(ValueError, match="column 'a'"):
         Table.from_codes("t", [("a", values, codes)])
+
+
+@pytest.mark.parametrize("values, message", [
+    (("x", "x"), "a value is repeated"),  # would count two classes of equal cells
+    ((None, None), "a value is repeated"),
+    (("", "x"), "value '' is not canonical"),  # written as "", it would read back as missing
+    ((" x", "y"), "value ' x' is not canonical"),
+    (("x", "y\t"), "value 'y\\t' is not canonical"),
+])
+def test_from_codes_rejects_values_that_are_repeated_or_not_canonical(values, message):
+    with pytest.raises(ValueError, match=re.escape(f"column 'a': {message}")):
+        Table.from_codes("t", [("a", values, np.array([0, 1]))])
+
+
+def test_from_codes_accepts_inner_whitespace_and_one_missing_value():
+    table = Table.from_codes("t", [("a", ("x y", None, "a\tb"), np.array([2, 1, 0]))])
+    assert table.cells == (("a\tb", None, "x y"),)
 
 
 def test_from_codes_narrows_the_codes_it_is_given():
@@ -784,7 +802,74 @@ def written_tables(draw):
 @given(written_tables())
 def test_to_delimited_matches_the_csv_writer_rendering(case):
     table, opts = case
-    assert table.to_delimited(opts) == reference_write(table, opts)
+    # steps of 1 to 3 rows put chunk edges inside these tables of at most 6 rows
+    for write_rows in (1, 2, 3, table_module._WRITE_ROWS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(table_module, "_WRITE_ROWS", write_rows)
+            if any(opts.na_token in values for values in table.values):
+                with pytest.raises(IngestError, match="is a value of column"):
+                    table.to_delimited(opts)
+            else:
+                assert table.to_delimited(opts) == reference_write(table, opts)
+
+
+@pytest.mark.parametrize("delimiter", [",", ";", "§"])
+def test_to_delimited_matches_the_csv_writer_across_steps(delimiter):
+    columns = (
+        ColumnSpec("short", 3),
+        ColumnSpec("mixed", 5_000, "zipf(1.1)"),
+        ColumnSpec("long", 200_000),
+    )
+    spec = SyntheticSpec(rows=2 * table_module._WRITE_ROWS + 7, columns=columns, seed=18)
+    table = generate_table(spec)
+    opts = IngestOptions(delimiter=delimiter, table_name=spec.name)
+    text = table.to_delimited(opts)
+    assert len({len(v) for v in table.values[1]}) > 1
+    assert text == reference_write(table, opts)
+    assert ingest_delimited(text.encode(), opts) == table
+
+
+def test_to_delimited_of_no_rows_writes_the_header_only():
+    table = Table.from_rows("t", ["a", "b;c"], [])
+    assert table.to_delimited() == "a,b;c\n"
+    assert table.to_delimited(IngestOptions(delimiter=";")) == 'a;"b;c"\n'
+
+
+def test_to_delimited_quotes_an_empty_na_token_in_a_lone_column():
+    table = Table.from_rows("t", ["a"], [["x"], [None]])
+    options = IngestOptions(table_name="t", na_token="")
+    assert table.to_delimited(options) == 'a\nx\n""\n'
+    assert ingest_delimited(table.to_delimited(options).encode(), options) == table
+
+
+@pytest.mark.parametrize("delimiter", [",", "§"])
+def test_to_delimited_round_trips_nul_and_non_ascii_values(delimiter):
+    rows = [["x\0y", "é運"], ["\0", "§"], ["é", "x\0"]]
+    table = Table.from_rows("t", ["a", "b"], rows)
+    options = IngestOptions(delimiter=delimiter, table_name="t")
+    assert table.to_delimited(options) == reference_write(table, options)
+    assert ingest_delimited(table.to_delimited(options).encode(), options) == table
+
+
+def test_to_delimited_keeps_a_lone_surrogate_in_its_text():
+    assert Table.from_rows("t", ["a"], [["x\udcff"]]).to_delimited() == "a\nx\udcff\n"
+
+
+@pytest.mark.parametrize("na_token", ["NA", "v0", "é"])
+def test_to_delimited_refuses_a_value_equal_to_the_na_token(na_token):
+    table = Table.from_rows("t", ["a", "b"], [["x", na_token], ["y", None]])
+    with pytest.raises(IngestError) as exc:
+        table.to_delimited(IngestOptions(na_token=na_token))
+    assert str(exc.value) == f"NA token {na_token!r} is a value of column 'b'"
+    assert exc.value.row is None
+
+
+def test_to_delimited_refuses_an_ingested_value_that_is_another_na_token():
+    table = ingest_delimited(b"a\nnull\nNA\n", IngestOptions(na_token="null"))
+    assert table.cells == ((None, "NA"),)  # NA is a value under this token
+    with pytest.raises(IngestError, match="NA token 'NA' is a value of column 'a'"):
+        table.to_delimited()
+    assert table.to_delimited(IngestOptions(na_token="null")) == "a\nnull\nNA\n"
 
 
 @pytest.mark.parametrize("delimiter", ['"', "\r", "\n"])
