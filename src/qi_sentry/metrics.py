@@ -18,18 +18,23 @@ full floats and its exact counts, and :mod:`qi_sentry.cli` rounds and
 renders them.
 
 Grouping reads the integer codes the table stores for each column (see
-:mod:`qi_sentry.table`) and has one step, :func:`_pair_ids`: it gives
-every distinct pair of (group id, code) a dense id. Folding columns in
-one at a time counts N(S) for any subset; once every row is a group of
-its own the fold stops, since more columns cannot split anything.
-Scoring m columns folds the universe columns that are not scored into
-one block, then finds all m counts N(U - {c}) with a halving recursion
-of about m log2 m folds. Uniqueness counts the codes with
-``np.bincount``.
+:mod:`qi_sentry.table`). Its one folding step is :func:`_pair_ids`: it
+gives every distinct pair of (group id, code) a dense id. Folding
+columns in one at a time counts N(S) for any subset; once every row is
+a group of its own the fold stops, since more columns cannot split
+anything. Scoring m columns folds the universe columns that are not
+scored into one block, then finds all m counts N(U - {c}) with a
+halving recursion of about m log2 m folds. A node of that recursion
+whose key space (its group count times each of its columns'
+cardinalities) is at most ``_SORT_FREE_FACTOR * n`` folds nothing: it
+marks each row's mixed-radix key in one occupancy array and reads every
+count off that array, one reduction over a column's axis per column.
+Uniqueness counts the codes with ``np.bincount``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -140,16 +145,45 @@ def _fold(table: Table, grouping: _Grouping, positions: Iterable[int]) -> _Group
     return ids, count
 
 
+def _occupancy_counts(
+    table: Table, grouping: _Grouping, positions: Sequence[int], space: int
+) -> tuple[list[int], int]:
+    """Leave-one-out class counts, and the full one, from one occupancy array.
+
+    Gives every row one mixed-radix key over ``space`` values: its group
+    id, then each position's code. The occupied keys are the classes of
+    the full grouping; viewed as (before, card, after), the classes
+    without a position are the (before, after) cells with any key set.
+    """
+    ids, count = grouping
+    keys = np.zeros(table.row_count, dtype=np.int64) if ids is None else ids.astype(np.int64)
+    cards = [table.cardinality(p) for p in positions]
+    for position, card in zip(positions, cards):
+        keys *= card
+        keys += table.codes[position]
+    seen = np.zeros(space, dtype=bool)
+    seen[keys] = True
+    counts, before, after = [], count, space // count
+    for card in cards:
+        after //= card
+        counts.append(int(np.count_nonzero(seen.reshape(before, card, after).any(axis=1))))
+        before *= card
+    return counts, int(np.count_nonzero(seen))
+
+
 def _leave_one_out(
     table: Table, grouping: _Grouping, positions: Sequence[int], with_full: bool
 ) -> tuple[list[int], int | None]:
     """Class counts of ``grouping`` plus ``positions`` minus each position.
 
     Also returns the count with every position folded in when
-    ``with_full`` is set, else None. Splits ``positions`` into halves,
-    folds the right half into ``grouping`` and recurses on the left,
-    then the other way round: about m log2 m folds for m positions,
-    with O(log m) id arrays alive at a time.
+    ``with_full`` is set, else None. A node whose key space, the group
+    count times each position's cardinality, is at most
+    ``_SORT_FREE_FACTOR * n`` takes all its counts from one occupancy
+    array (:func:`_occupancy_counts`). A larger one splits ``positions``
+    into halves, folds the right half into ``grouping`` and recurses on
+    the left, then the other way round: about m log2 m folds for m
+    positions, with O(log m) id arrays alive at a time.
     """
     n = table.row_count
     if grouping[1] == n:
@@ -157,6 +191,10 @@ def _leave_one_out(
     if len(positions) == 1:
         full = _fold(table, grouping, positions)[1] if with_full else None
         return [grouping[1]], full
+    space = grouping[1] * math.prod(table.cardinality(p) for p in positions)
+    if space <= _SORT_FREE_FACTOR * n:
+        counts, full = _occupancy_counts(table, grouping, positions, space)
+        return counts, full if with_full else None
     half = len(positions) // 2
     left, right = positions[:half], positions[half:]
     left_counts, full = _leave_one_out(table, _fold(table, grouping, right), left, with_full)

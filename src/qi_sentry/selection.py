@@ -32,7 +32,11 @@ _DID_NOTE = "mandatory removal"
 
 @dataclass(frozen=True)
 class SelectionThreshold:
-    """Effective threshold, and the grade-derived value it equals or overrides."""
+    """Effective threshold, and the grade-derived value it equals or overrides.
+
+    ``value`` is stored as a float without the sign of zero, so -0.0
+    reports as 0.0.
+    """
 
     value: float
     grade_value: float
@@ -41,6 +45,7 @@ class SelectionThreshold:
     def __post_init__(self):
         if not 0 <= self.value <= 2:
             raise ValueError(f"threshold must be in [0, 2], got {self.value}")
+        object.__setattr__(self, "value", float(self.value) + 0.0)
 
 
 def threshold_for(grade: UserGrade) -> SelectionThreshold:

@@ -94,7 +94,9 @@ _utf8 = partial(str.encode, encoding="utf-8", errors="surrogatepass")  # keeps l
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype="<u8")
 
 # Ingest's short keys and metrics._pair_ids' pair keys skip the sort
-# (densify) while their range holds at most this many values per key.
+# (densify) while their range holds at most this many values per key;
+# metrics._leave_one_out scores a node from one occupancy array under
+# the same bound on its key space.
 # On 700k random rows (2-vCPU Xeon, numpy 2.4) marking took 24 ms at 4
 # values per key and np.unique 50 ms; the two meet near 8 per key.
 _SORT_FREE_FACTOR = 4

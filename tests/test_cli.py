@@ -425,6 +425,22 @@ def test_select_threshold_reached_exactly_selects(workspace, capsys):
     assert doc["threshold"] == 0.2
 
 
+def test_select_negative_zero_threshold_reports_zero(workspace, capsys):
+    # -0.0 passes the [0, 2] check; the report must not print its sign
+    args = select_args(workspace, "high.json", "--threshold=-0.0", "--no-timestamp")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert "threshold: 0.0000 (manual override" in out
+    assert "-0.0" not in out
+    code, out, _ = run(capsys, *args, "--format", "json")
+    assert code == 0
+    assert '"threshold": 0.0,' in out
+    assert "-0.0" not in out
+    # and the report is the one that --threshold=0 gives
+    zero = select_args(workspace, "high.json", "--threshold=0", "--no-timestamp")
+    assert run(capsys, *zero, "--format", "json")[1] == out
+
+
 @pytest.mark.parametrize("command", [
     pytest.param(["select", "--assessment", "high.json", "--universe", "all"], id="all"),
     pytest.param(["select", "--assessment", "high.json", "--universe", "qi"], id="qi"),

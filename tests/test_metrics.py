@@ -28,7 +28,7 @@ from qi_sentry.oracle import (
     oracle_uniqueness,
 )
 
-from conftest import random_table
+from conftest import column_of, random_table
 
 
 def qi_rules(*names):
@@ -288,17 +288,23 @@ def test_score_columns_counts(demo_table, all_qi_rules):
     ]
 
 
-def test_saturated_context_stops_folding(monkeypatch):
-    # "id" alone tells every row apart, so once it is folded in no pair
-    # of ids is formed again, and every leave-one-out count is n
+def spy_pair_ids(monkeypatch) -> list:
+    """Record every _pair_ids call that scoring makes."""
     import qi_sentry.metrics as metrics
 
-    rng = random.Random(7)
-    rows = [[str(i)] + [rng.choice("xyz") for _ in range(4)] for i in range(30)]
-    table = Table.from_rows("t", ["id", "a", "b", "c", "d"], rows)
     calls = []
     real = metrics._pair_ids
     monkeypatch.setattr(metrics, "_pair_ids", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_saturated_context_stops_folding(monkeypatch):
+    # "id" alone tells every row apart, so once it is folded in no pair
+    # of ids is formed again, and every leave-one-out count is n
+    rng = random.Random(7)
+    rows = [[str(i)] + [rng.choice("xyz") for _ in range(4)] for i in range(30)]
+    table = Table.from_rows("t", ["id", "a", "b", "c", "d"], rows)
+    calls = spy_pair_ids(monkeypatch)
     qis = {"a", "b", "c", "d"}
     scores = score_columns(classified_with(table, qis), UniversePolicy.ALL_COLUMNS)
     assert calls == []
@@ -329,6 +335,93 @@ def test_score_columns_ten_columns_matches_oracle(monkeypatch, sort_free_factor,
     scores = score_columns(classified_with(table, qis), policy)
     assert scores == oracle_scores(table, qis, policy)
     assert all(s.influence > 0 for s in scores)
+
+
+def table_of_cardinalities(cardinalities, n, seed, extra=()):
+    """n shuffled rows whose column i holds exactly cardinalities[i] values."""
+    rng = random.Random(seed)
+    columns = [column_of(card, False, rng, n - card) for card in cardinalities]
+    columns += [list(cells) for cells in extra]
+    names = [f"k{i}" for i in range(len(cardinalities))] + [f"x{i}" for i in range(len(extra))]
+    table = Table.from_rows("t", names, [list(row) for row in zip(*columns)])
+    assert [table.cardinality(p) for p in range(len(cardinalities))] == list(cardinalities)
+    return table
+
+
+@pytest.mark.parametrize("policy", list(UniversePolicy))
+def test_small_key_space_scores_without_pair_ids(monkeypatch, policy):
+    # shaped like the lowcard workload: six low-cardinality QIs and one
+    # SA outside them; 3 * 2*3*2*3*2*3 = 648 keys fit in 4n = 800, so the
+    # root takes every count from one occupancy array under both policies
+    rng = random.Random(19)
+    outcome = column_of(3, False, rng, 197)
+    table = table_of_cardinalities([2, 3, 2, 3, 2, 3], 200, 19, extra=[outcome])
+    qis = {f"k{i}" for i in range(6)}
+    calls = spy_pair_ids(monkeypatch)
+    scores = score_columns(classified_with(table, qis), policy)
+    assert calls == []
+    assert scores == oracle_scores(table, qis, policy)
+    assert all(s.counts.full < 200 for s in scores)  # no count saturates
+
+
+@pytest.mark.parametrize("policy", list(UniversePolicy))
+def test_node_inside_the_recursion_scores_from_occupancy(monkeypatch, policy):
+    # k3 repeats k2 (10 values): the root's 2 * 2 * 10 * 10 = 400 keys
+    # exceed 4n = 200, but once k2 and k3 are folded into 10 groups, the
+    # node that leaves out k0 or k1 has 10 * 2 * 2 = 40 keys and fits
+    import qi_sentry.metrics as metrics
+
+    table = table_of_cardinalities([2, 2, 10], 50, 37)
+    table = Table.from_rows("t", ["k0", "k1", "k2", "k3"],
+                            [row + (row[2],) for row in zip(*table.cells)])
+    nodes = []
+    real = metrics._occupancy_counts
+    monkeypatch.setattr(metrics, "_occupancy_counts", lambda table, grouping, positions, space: (
+        nodes.append((grouping[1], list(positions), space)) or real(table, grouping, positions, space)
+    ))
+    qis = set(table.column_names)
+    assert score_columns(classified_with(table, qis), policy) == oracle_scores(table, qis, policy)
+    assert nodes == [(10, [0, 1], 40)]
+
+
+@pytest.mark.parametrize("sort_free_factor", [4, 0])
+@pytest.mark.parametrize("policy", list(UniversePolicy))
+def test_constant_and_all_missing_columns_score_as_the_oracle(monkeypatch, sort_free_factor, policy):
+    # a column of one value, or of missing cells only, has cardinality 1:
+    # its axis of the occupancy array has length one and splits nothing
+    import qi_sentry.metrics as metrics
+
+    monkeypatch.setattr(metrics, "_SORT_FREE_FACTOR", sort_free_factor)
+    table = table_of_cardinalities([3, 2], 12, 23, extra=[["x"] * 12, [None] * 12, ["y"] * 12])
+    assert table.cardinality(3) == 1
+    qis = {"k0", "x0", "k1", "x1"}
+    calls = spy_pair_ids(monkeypatch)
+    scores = score_columns(classified_with(table, qis), policy)
+    assert scores == oracle_scores(table, qis, policy)
+    assert {s.column: s.influence for s in scores}["x0"] == 0.0
+    assert {s.column: s.influence for s in scores}["x1"] == 0.0
+    assert (calls == []) == (sort_free_factor == 4)
+
+
+@pytest.mark.parametrize("policy", list(UniversePolicy))
+def test_key_space_bound_is_inclusive(monkeypatch, policy):
+    # 2 * 3 * 4 = 24 keys = 4n for n = 6: the root still fits, as the
+    # sort-free bound of _pair_ids is inclusive
+    table = table_of_cardinalities([2, 3, 4], 6, 29)
+    qis = set(table.column_names)
+    calls = spy_pair_ids(monkeypatch)
+    assert score_columns(classified_with(table, qis), policy) == oracle_scores(table, qis, policy)
+    assert calls == []
+
+
+def test_key_space_one_past_the_bound_recurses(monkeypatch):
+    # 5 * 5 = 25 keys > 4n = 24: the root halves, and the full count takes a fold
+    table = table_of_cardinalities([5, 5], 6, 31)
+    qis = set(table.column_names)
+    calls = spy_pair_ids(monkeypatch)
+    scores = score_columns(classified_with(table, qis), UniversePolicy.PRIMARY_QIS_ONLY)
+    assert scores == oracle_scores(table, qis, UniversePolicy.PRIMARY_QIS_ONLY)
+    assert calls == [1]
 
 
 def test_pair_ids_branches_agree():

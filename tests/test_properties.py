@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from qi_sentry import (
     threshold_for,
     uniqueness,
 )
+from qi_sentry import metrics
 from qi_sentry.metrics import GroupingEngine, ScoreCounts
 from qi_sentry.oracle import (
     oracle_equivalence_class_count,
@@ -84,22 +86,27 @@ def test_metric_ranges(table):
 # -- the shipped scoring path against the oracle -------------------------------
 
 @settings(max_examples=300, deadline=None)
-@given(tables(max_rows=15, max_cols=5), st.data())
-def test_score_columns_matches_oracle(table, data):
+@given(tables(max_rows=15, max_cols=5), st.data(), st.sampled_from([0, 4, 10**9]))
+def test_score_columns_matches_oracle(table, data, sort_free_factor):
+    # a sort-free factor of 0 leaves every count to the recursion's folds;
+    # 4, as shipped, scores most of these small tables from one occupancy
+    # array at the root and the rest by folds; 10**9 scores every root so
+    # (test_metrics covers an occupancy array inside the recursion)
     names = list(table.column_names)
     qis = data.draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
     classified = classify(
         table, ClassificationRules(rules=tuple(Rule(n, ColumnClass.QI) for n in qis))
     )
-    for policy in UniversePolicy:
-        universe = set(qis) if policy is UniversePolicy.PRIMARY_QIS_ONLY else set(names)
-        expected = [
-            RiskScore.of(n, oracle_uniqueness(table, n), oracle_influence(table, n, universe))
-            for n in names
-            if n in qis
-        ]
-        assert score_columns(classified, policy) == expected
-        assert score_columns(classified, policy, max_workers=4) == expected
+    with mock.patch.object(metrics, "_SORT_FREE_FACTOR", sort_free_factor):
+        for policy in UniversePolicy:
+            universe = set(qis) if policy is UniversePolicy.PRIMARY_QIS_ONLY else set(names)
+            expected = [
+                RiskScore.of(n, oracle_uniqueness(table, n), oracle_influence(table, n, universe))
+                for n in names
+                if n in qis
+            ]
+            assert score_columns(classified, policy) == expected
+            assert score_columns(classified, policy, max_workers=4) == expected
 
 
 @settings(max_examples=300, deadline=None)
