@@ -30,7 +30,8 @@ _GLOB_CHARS = re.compile(r"[*?[]")
 # InvalidSpec and not a MemoryError or a killed process. A table holds a
 # code of 1 to 4 bytes per cell: at most 400 MB at MAX_CELLS, which admits
 # 1M rows x 30 columns three times over. Drawing a column allocates int64
-# and float64 arrays over its whole alphabet: 80 MB each at MAX_DISTINCT_VALUES.
+# and float64 arrays over its whole alphabet: 80 MB each at MAX_DISTINCT_VALUES,
+# which also keeps every symbol within 8 bytes (v9999999).
 MAX_CELLS = 100_000_000
 MAX_DISTINCT_VALUES = 10_000_000
 
@@ -116,18 +117,38 @@ def _sample_codes(rng: np.random.Generator, spec: ColumnSpec, rows: int) -> np.n
     return np.searchsorted(cumulative, rng.random(rows), side="right")
 
 
+def _symbols(numbers: np.ndarray) -> np.ndarray:
+    """``f"v{i}".encode()`` for each of the ascending ``numbers``, as ``S8`` keys.
+
+    Each digit count is one slice of ``numbers``; below MAX_DISTINCT_VALUES
+    a symbol has at most 8 bytes.
+    """
+    keys = np.zeros((len(numbers), 8), dtype=np.uint8)
+    keys[:, 0] = ord("v")
+    starts = [0, *np.searchsorted(numbers, 10 ** np.arange(1, 7)), len(numbers)]
+    for digits, lo, hi in zip(range(1, 8), starts, starts[1:]):
+        rest = numbers[lo:hi].astype(np.uint32)
+        for at in range(digits, 0, -1):
+            keys[lo:hi, at] = rest % 10 + ord("0")
+            rest //= 10
+    return keys.view("S8").ravel()
+
+
 def generate_table(spec: SyntheticSpec) -> Table:
     """Materialize a spec; one shared PCG64 stream, columns drawn in order.
 
-    Symbol i is the string ``f"v{i}"``; symbols no row drew are left out.
+    Symbol i is ``f"v{i}"``; symbols no row drew are left out. Each column
+    keeps its symbols as byte keys, as an ingested table does, so no
+    string is made per symbol. Distinct numbers give distinct, canonical
+    symbols and every kept symbol was drawn, so the table holds what
+    :meth:`Table.from_codes` checks without running its checks.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     columns = []
     for col in spec.columns:
         drawn, codes = densify(_sample_codes(rng, col, spec.rows), col.distinct_values)
-        values = [f"v{i}" for i in np.flatnonzero(drawn).tolist()]
-        columns.append((col.name, values, codes))  # from_codes narrows them
-    return Table.from_codes(spec.name, columns)
+        columns.append((col.name, _symbols(np.flatnonzero(drawn)), codes))
+    return Table._from_keys(spec.name, columns)
 
 
 def rules_for_spec(spec: SyntheticSpec) -> ClassificationRules:

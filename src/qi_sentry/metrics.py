@@ -26,9 +26,10 @@ anything. Scoring m columns folds the universe columns that are not
 scored into one block, then finds all m counts N(U - {c}) with a
 halving recursion of about m log2 m folds. A node of that recursion
 whose key space (its group count times each of its columns'
-cardinalities) is at most ``_SORT_FREE_FACTOR * n`` folds nothing: it
-marks each row's mixed-radix key in one occupancy array and reads every
-count off that array, one reduction over a column's axis per column.
+cardinalities) is at most ``_SORT_FREE_FACTOR * n``, and below 2**31,
+folds nothing: it marks each row's mixed-radix ``int32`` key in one
+occupancy array and reads every count off that array, one reduction
+over a column's axis per column.
 Uniqueness counts the codes with ``np.bincount``.
 """
 
@@ -154,9 +155,10 @@ def _occupancy_counts(
     id, then each position's code. The occupied keys are the classes of
     the full grouping; viewed as (before, card, after), the classes
     without a position are the (before, after) cells with any key set.
+    ``space`` is below 2**31, so the keys are ``int32``.
     """
     ids, count = grouping
-    keys = np.zeros(table.row_count, dtype=np.int64) if ids is None else ids.astype(np.int64)
+    keys = np.zeros(table.row_count, dtype=np.int32) if ids is None else ids.astype(np.int32)
     cards = [table.cardinality(p) for p in positions]
     for position, card in zip(positions, cards):
         keys *= card
@@ -179,11 +181,11 @@ def _leave_one_out(
     Also returns the count with every position folded in when
     ``with_full`` is set, else None. A node whose key space, the group
     count times each position's cardinality, is at most
-    ``_SORT_FREE_FACTOR * n`` takes all its counts from one occupancy
-    array (:func:`_occupancy_counts`). A larger one splits ``positions``
-    into halves, folds the right half into ``grouping`` and recurses on
-    the left, then the other way round: about m log2 m folds for m
-    positions, with O(log m) id arrays alive at a time.
+    ``_SORT_FREE_FACTOR * n`` and below 2**31 takes all its counts from
+    one occupancy array (:func:`_occupancy_counts`). A larger one splits
+    ``positions`` into halves, folds the right half into ``grouping`` and
+    recurses on the left, then the other way round: about m log2 m folds
+    for m positions, with O(log m) id arrays alive at a time.
     """
     n = table.row_count
     if grouping[1] == n:
@@ -192,7 +194,7 @@ def _leave_one_out(
         full = _fold(table, grouping, positions)[1] if with_full else None
         return [grouping[1]], full
     space = grouping[1] * math.prod(table.cardinality(p) for p in positions)
-    if space <= _SORT_FREE_FACTOR * n:
+    if space <= _SORT_FREE_FACTOR * n and space < 1 << 31:
         counts, full = _occupancy_counts(table, grouping, positions, space)
         return counts, full if with_full else None
     half = len(positions) // 2

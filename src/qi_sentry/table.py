@@ -11,10 +11,10 @@ among them, in the narrowest dtype that holds them (:func:`code_dtype`).
 Every distinct value occurs at least once, so a column's cardinality is
 their number. The metrics read only the codes and the cardinalities. A
 table built from Python cells keeps its distinct values as a tuple; an
-ingested table keeps them as the byte keys that ingest merged, and
-decodes each column's keys to strings once, on the first read of
-``values``, ``cells``, ``to_delimited`` or ``==``. ``cells`` decodes the
-codes too, on first use.
+ingested or generated table keeps them as byte keys (``_Keys``), the
+keys ingest merged or the symbols the generator drew, and decodes each
+column's keys to strings once, on the first read of ``values``,
+``cells`` or ``==``. ``cells`` decodes the codes too, on first use.
 
 Ingest reads the bytes in blocks of about 1 MiB, each cut after its
 last newline. A block with no quote, CR or NUL byte, a one-byte ASCII
@@ -42,9 +42,14 @@ equal lengths and so meet in one class. The empty key and the NA token
 become missing, and the table keeps the other merged keys undecoded.
 Values are ordered by class, then by key, with missing last.
 
-The writer quotes and encodes each distinct value once, 0xff-padded to its
-column's widest, and gathers ``_WRITE_ROWS`` rows at a time from the codes
-into one byte buffer, less the padding: it makes no string per cell.
+The writer pads each distinct value, in UTF-8 and ended by its delimiter
+or newline, with 0xff to its column's widest, and gathers ``_WRITE_ROWS``
+rows at a time from the codes into one byte buffer, less the padding: it
+makes no string per cell. It copies a column's byte keys straight into
+the padded values, decoding nothing, unless a value needs quoting or the
+delimiter is not ASCII; then it quotes and encodes each decoded value
+once. A key is never empty, so none needs the quotes that an empty field
+of a one-column table takes.
 
 Cell comparison everywhere downstream is exact, case-sensitive string
 equality: ``"72"`` and ``"72.0"`` are different symbols on purpose.
@@ -181,8 +186,8 @@ class Table:
     ``values[p]`` holds column p's distinct cells and ``codes[p]`` (of
     ``code_dtype(cardinality(p))``, read-only) indexes it per row;
     ``cardinality(p)`` is ``len(values[p])`` without decoding. ``distinct[p]``
-    holds the same values as given: a tuple, or for an ingested column its
-    undecoded keys, which ``values`` decodes on first read. Instances are
+    holds the same values as given: a tuple, or for an ingested or generated
+    column its undecoded keys, which ``values`` decodes on first read. Instances are
     immutable after construction and safe to share across threads: the
     decode is deterministic, so two threads that race on it only decode
     twice. Build them with :meth:`from_rows`, :meth:`from_codes` or
@@ -274,6 +279,23 @@ class Table:
         )
 
     @classmethod
+    def _from_keys(
+        cls, name: str, columns: Sequence[tuple[str, np.ndarray, np.ndarray]]
+    ) -> "Table":
+        """Build a table from (column name, ``S{w}`` keys, integer codes) triples.
+
+        The keys must be distinct, never empty, in code order and all
+        coded, as :class:`_Keys` holds them; nothing checks that here.
+        """
+        return cls(
+            name=name,
+            columns=tuple(ColumnMeta(col_name) for col_name, _, _ in columns),
+            distinct=tuple(_Keys((keys,), False) for _, keys, _ in columns),
+            codes=tuple(ids.astype(code_dtype(len(keys)), copy=False) for _, keys, ids in columns),
+            row_count=len(columns[0][2]),
+        )
+
+    @classmethod
     def from_rows(
         cls, name: str, column_names: Sequence[str], rows: Iterable[Sequence[CellValue]]
     ) -> "Table":
@@ -329,8 +351,10 @@ class Table:
 
         As RFC 4180 has it, a field is quoted, each ``"`` in it doubled, when
         it holds the delimiter, a quote, CR or LF: once per distinct value,
-        then 0xff-padded (see the module docstring). It re-ingests with the same
-        options as an equal table; a value equal to the sentinel is an IngestError.
+        then 0xff-padded (see the module docstring). A column of byte keys
+        that needs no quoting is padded from its keys, undecoded. It re-ingests
+        with the same options as an equal table; a value equal to the sentinel
+        is an IngestError.
         """
         opts = options or IngestOptions()
         special = {opts.delimiter, '"', "\r", "\n"}
@@ -340,15 +364,24 @@ class Table:
             plain = special.isdisjoint(text) and (text or not lone)
             return text if plain else '"' + text.replace('"', '""') + '"'
 
+        na, na_text = _key(opts.na_token), _utf8(quoted(opts.na_token))
+        special_key = _key("".join(special))
         items = []
-        for pos, (meta, values) in enumerate(zip(self.columns, self.values), 1):
-            if opts.na_token in values:  # it would read back as missing
+        for pos, (meta, distinct) in enumerate(zip(self.columns, self.distinct)):
+            end = "\n" if pos == len(self.columns) - 1 else opts.delimiter
+            # keys are padded as they are when each field ends in one byte
+            from_keys = isinstance(distinct, _Keys) and opts.delimiter.isascii()
+            if distinct.holds(na) if from_keys else opts.na_token in self.values[pos]:
+                # it would read back as missing
                 raise IngestError(f"NA token {opts.na_token!r} is a value of column {meta.name!r}")
-            texts = [opts.na_token if v is None else v for v in values]
-            flat = "".join(texts)  # a scan per special character, and quotes only if one hits
-            if lone or any(s in flat for s in special):
-                texts = list(map(quoted, texts))
-            items.append(_padded(texts, "\n" if pos == len(self.columns) else opts.delimiter))
+            item = distinct.padded(na_text, ord(end), special_key) if from_keys else None
+            if item is None:
+                texts = [opts.na_token if v is None else v for v in self.values[pos]]
+                flat = "".join(texts)  # a scan per special character, and quotes only if one hits
+                if lone or any(s in flat for s in special):
+                    texts = list(map(quoted, texts))
+                item = _padded(texts, end)
+            items.append(item)
         out = bytearray(_utf8(opts.delimiter.join(map(quoted, self.column_names)) + "\n"))
         bounds = np.cumsum([0, *(item.itemsize for item in items)])
         for lo in range(0, self.row_count, _WRITE_ROWS):
@@ -361,10 +394,13 @@ class Table:
 
 @dataclass(frozen=True)
 class _Keys:
-    """A column's distinct values as ingest merged them, not yet decoded.
+    """A column's distinct values as byte keys, not yet decoded.
 
-    ``kept`` holds the present values' keys, one ``S{w}`` array per width
-    class, in code order; a missing value, if ``missing``, is coded last.
+    Ingest keeps the keys it merged, and the generator its symbols.
+    ``kept`` holds the present values' keys in code order, in one or
+    more ``S{w}`` arrays: UTF-8 bytes with NUL as 0xfe, never empty.
+    A missing value, if ``missing``, is coded last. The writer reads
+    the keys directly (:meth:`padded`).
     """
 
     kept: tuple[np.ndarray, ...]
@@ -378,6 +414,46 @@ class _Keys:
         text = b"\xff".join([*chain.from_iterable(k.tolist() for k in self.kept), b""])
         decoded = text.decode("utf-8", "surrogateescape").replace("\udcfe", "\0").split("\udcff")
         return (*decoded[:-1], *[None] * self.missing)
+
+    def holds(self, key: bytes) -> bool:
+        """Whether a present value has the key ``key``."""
+        return any((k == key).any() for k in self.kept)
+
+    def padded(self, na: bytes, end: int, special: bytes) -> np.ndarray | None:
+        """As :func:`_padded` of the decoded values with ``na`` for missing, or None.
+
+        Reads the key bytes, with 0xfe written back as NUL, and ends each
+        value with the byte ``end``. None if a key holds a byte of the key
+        ``special``, as a value that needs quoting does.
+        """
+        data = b"".join(k.tobytes() for k in self.kept)
+        if any(byte in data for byte in special):
+            return None
+        rows = [k.view(np.uint8).reshape(len(k), k.itemsize) for k in self.kept]
+        # a key holds no NUL byte
+        lengths = np.concatenate([np.zeros(0, int), *(np.count_nonzero(r, axis=1) for r in rows)])
+        width = max(len(na) if self.missing else 0, int(lengths.max(initial=0))) + 1  # and end
+        out = np.full((len(self), width), 0xFF, dtype=np.uint8)
+        start = 0
+        for r in rows:  # the bytes past the longest key are zero padding
+            out[start : start + len(r), : r.shape[1]] = r[:, :width]
+            start += len(r)
+        out[out == 0] = 0xFF
+        if b"\xfe" in data:
+            out[out == 0xFE] = 0
+        out[np.arange(len(lengths)), lengths] = end  # last, as end may be NUL
+        if self.missing:
+            out[-1, : len(na) + 1] = np.frombuffer(na + bytes([end]), dtype=np.uint8)
+        return out.view(f"V{width}").ravel()
+
+
+def _key(text: str) -> bytes:
+    """The key ingest gives a field ``text``: UTF-8, NUL as 0xfe.
+
+    A lone surrogate (an undecodable byte of the command line) becomes
+    bytes that valid UTF-8 never holds, so it matches no field.
+    """
+    return _utf8(text).replace(b"\0", b"\xfe")
 
 
 def _decode(values: Sequence[object], codes: np.ndarray) -> list:
@@ -487,9 +563,7 @@ class _Columns:
         self.rows += starts.shape[1]
 
     def table(self, opts: IngestOptions) -> Table:
-        # a lone surrogate (an undecodable byte of the command line) becomes bytes
-        # that valid UTF-8 never holds, so it matches no field
-        na = opts.na_token.encode("utf-8", "surrogatepass").replace(b"\0", b"\xfe")
+        na = _key(opts.na_token)
         distinct, codes = [], []
         for j in range(len(self.names)):
             column_keys, column_codes = _merge(self.keys[j], self.parts[j], self.rows, na)

@@ -52,3 +52,10 @@ def random_table(
     symbols.append(None)
     rows = [[rng.choice(symbols) for _ in range(n_cols)] for _ in range(n_rows)]
     return Table.from_rows(name, [f"c{i}" for i in range(n_cols)], rows)
+
+
+def twin_of(table: Table) -> Table:
+    """The table rebuilt by ``Table.from_codes`` from its decoded values, held as tuples."""
+    return Table.from_codes(table.name, [
+        (name, table.values[p], table.codes[p]) for p, name in enumerate(table.column_names)
+    ])

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import functools
+import hashlib
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qi_sentry import (
@@ -13,7 +19,11 @@ from qi_sentry import (
     rules_for_spec,
     uniqueness,
 )
-from qi_sentry.generate import MAX_CELLS, MAX_DISTINCT_VALUES, load_spec, parse_spec
+from qi_sentry.generate import MAX_CELLS, MAX_DISTINCT_VALUES, _symbols, load_spec, parse_spec
+
+from conftest import twin_of
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def spec_of(*columns: ColumnSpec, rows=100, seed=7, name="syn") -> SyntheticSpec:
@@ -49,6 +59,48 @@ def test_only_drawn_symbols_are_stored():
     table = generate_table(spec_of(ColumnSpec("a", 10_000), rows=50))
     values = table.values[table.position_of("a")]
     assert len(values) == len(set(table.column_values("a"))) <= 50
+
+
+def test_symbols_are_v_and_the_number_at_every_digit_boundary():
+    numbers = sorted({0, 1, MAX_DISTINCT_VALUES - 1} | {
+        edge for d in range(1, 7) for edge in (10**d - 1, 10**d, 10**d + 1)
+    })
+    keys = _symbols(np.array(numbers))
+    assert keys.dtype == np.dtype("S8")
+    assert keys.tolist() == [f"v{i}".encode() for i in numbers]
+    assert keys[-1] == b"v9999999"  # the widest symbol fills all 8 bytes
+
+
+def test_generated_values_pass_the_checks_of_from_codes():
+    # generate_table skips from_codes; its twin runs every check on the same values
+    spec = spec_of(ColumnSpec("a", 1), ColumnSpec("b", 12, "zipf(1.5)"), ColumnSpec("c", 50_000),
+                   ColumnSpec("d", 300, "zipf(1.1)"), rows=3_000)
+    table = generate_table(spec)
+    twin = twin_of(table)
+    assert table == twin
+    assert [twin.cardinality(p) for p in range(4)] == [table.cardinality(p) for p in range(4)]
+    assert [c.dtype for c in twin.codes] == [c.dtype for c in table.codes]
+
+
+@functools.cache
+def _workloads():
+    """perfbench/workloads.py, loaded from its path (its dataclasses need it in sys.modules)."""
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name, sha256", [
+    ("tall", "c855d8fd72c6eb04415cf7b9c9324de2e40cecf551039c0e6efbc0176ef28365"),
+    ("lowcard", "e59b1d3567e5a49c561857b01d28ea369c1626e6acca4e4716792b1f809cf696"),
+])
+def test_benchmark_tables_keep_their_bytes(name, sha256):
+    # at scale: 7-digit symbols, uint16 and int32 codes and many _WRITE_ROWS steps,
+    # which the small goldens do not reach
+    text = generate_table(_workloads().workload(name, 9901).spec).to_delimited()
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 def test_zipf_skews_toward_low_ranks():

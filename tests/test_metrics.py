@@ -461,3 +461,29 @@ def test_secondary_qis_keeps_tiny_positive_sums():
 def test_risk_score_sum_is_exact():
     score = RiskScore.of("c", 0.2, 0.25)
     assert score.sum == 0.2 + 0.25
+
+
+
+def test_key_space_of_2_to_the_31_recurses_whatever_the_factor(monkeypatch):
+    # 128 * 256**3 = 2**31 keys would not fit int32 keys, so the root
+    # halves even where the factor admits it. k2 and k3 repeat k1, so
+    # folding them leaves 256 groups, and the node over k0 and k1 fits
+    import qi_sentry.metrics as metrics
+
+    monkeypatch.setattr(metrics, "_SORT_FREE_FACTOR", 10**9)
+    table = table_of_cardinalities([128, 256], 300, 41)
+    table = Table.from_rows("t", ["k0", "k1", "k2", "k3"],
+                            [row + (row[1], row[1]) for row in zip(*table.cells)])
+    spaces = []
+    real = metrics._occupancy_counts
+
+    def occupancy_counts(table, grouping, positions, space):
+        spaces.append(space)
+        assert space < 2**31  # checked before a 2 GiB array is made
+        return real(table, grouping, positions, space)
+
+    monkeypatch.setattr(metrics, "_occupancy_counts", occupancy_counts)
+    qis = set(table.column_names)
+    policy = UniversePolicy.PRIMARY_QIS_ONLY
+    assert score_columns(classified_with(table, qis), policy) == oracle_scores(table, qis, policy)
+    assert 256 * 128 * 256 in spaces

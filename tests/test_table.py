@@ -16,10 +16,16 @@ from hypothesis import strategies as st
 import qi_sentry.table as table_module
 from qi_sentry import IngestError, IngestOptions, NoSuchColumn, Table, ingest_delimited
 from qi_sentry.cli import main
-from qi_sentry.generate import ColumnSpec, SyntheticSpec, generate_table
+from qi_sentry.generate import (
+    MAX_DISTINCT_VALUES,
+    ColumnSpec,
+    SyntheticSpec,
+    _symbols,
+    generate_table,
+)
 from qi_sentry.table import canonicalize, code_dtype
 
-from conftest import column_of
+from conftest import column_of, twin_of
 
 DEMO_CSV = b"""Weight,Age,Gender,Zipcode
 72,45,M,75145
@@ -829,6 +835,86 @@ def test_to_delimited_matches_the_csv_writer_across_steps(delimiter):
     assert ingest_delimited(text.encode(), opts) == table
 
 
+# -- writing byte keys against writing their decoded values -------------------
+
+KEY_CELLS = st.sampled_from([
+    "", "a", "v0", "v1", "NA", "x\0y", "\0", "é", "運x", "12345678", "123456789", "v" * 16,
+    "§", "x,y", "x;y", "x|y", "a b", "NA x",
+])
+
+
+@st.composite
+def keyed_tables(draw):
+    """A generated table, or one ingested from cells that csv.writer wrote."""
+    n_cols = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        columns = [
+            ColumnSpec(f"c{j}", draw(st.sampled_from([1, 2, 11, 120, 5_000, 10**7])),
+                       draw(st.sampled_from(["uniform", "zipf(1.5)"])))
+            for j in range(n_cols)
+        ]
+        return generate_table(SyntheticSpec(draw(st.integers(1, 7)), tuple(columns), seed=3))
+    rows = draw(st.lists(st.lists(KEY_CELLS, min_size=n_cols, max_size=n_cols), max_size=6))
+    if rows and draw(st.booleans()):
+        for row in rows:  # an all-missing column
+            row[0] = ""
+    out = io.StringIO()
+    # unquoted, a row of cells without NUL or a quote stays on the numpy path
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    writer = csv.writer(out, lineterminator="\n", quoting=quoting)
+    writer.writerows([[f"c{j}" for j in range(n_cols)], *rows])
+    return ingest_delimited(out.getvalue().encode(), IngestOptions(na_token="null"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(keyed_tables(), st.sampled_from([",", ";", "\t", "|", "§", "v", "1", "\0"]),
+       st.sampled_from(["NA", "v0", "", "no value given"]))  # the last is wider than S8 keys
+def test_byte_keys_are_written_as_their_decoded_values(table, delimiter, na_token):
+    options = IngestOptions(delimiter=delimiter, na_token=na_token)
+    twin = twin_of(table)
+    for write_rows in (1, 2, 3, table_module._WRITE_ROWS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(table_module, "_WRITE_ROWS", write_rows)
+            try:
+                expected = twin.to_delimited(options)
+            except IngestError as exc:
+                with pytest.raises(IngestError) as raised:
+                    table.to_delimited(options)
+                assert str(raised.value) == str(exc)
+            else:
+                assert table.to_delimited(options) == expected
+
+
+@pytest.mark.parametrize("delimiter", ["\0", ","])
+def test_keys_that_fill_their_width_keep_their_delimiter(delimiter):
+    # 7-digit symbols fill S8 keys, so no zero padding is left in them
+    keys = _symbols(np.array([10**6, 5 * 10**6, MAX_DISTINCT_VALUES - 1]))
+    table = Table._from_keys("t", [("a", keys, np.array([2, 0, 1, 0])), ("b", keys[:1], np.zeros(4, int))])
+    rows = [("a", "b"), *zip(*table.cells)]
+    expected = "".join(f"{a}{delimiter}{b}\n" for a, b in rows)
+    assert rows[1] == ("v9999999", "v1000000")
+    options = IngestOptions(delimiter=delimiter, table_name="t")
+    assert table.to_delimited(options) == twin_of(table).to_delimited(options) == expected
+    assert ingest_delimited(expected.encode(), options) == table
+
+
+def test_a_nul_value_is_quoted_under_a_nul_delimiter():
+    # eight bytes fill an S8 key, so no zero padding follows the 0xfe of its NUL
+    table = ingest_delimited(b'a,b\n"abc\0efgh",x\n', IngestOptions(table_name="t"))
+    assert table.distinct[0].kept[0].tolist() == [b"abc\xfeefgh"]
+    options = IngestOptions(delimiter="\0", table_name="t")
+    assert table.to_delimited(options) == 'a\0b\n"abc\0efgh"\0x\n'
+    assert ingest_delimited(table.to_delimited(options).encode(), options) == table
+
+
+def test_a_generated_table_is_written_from_its_keys(monkeypatch):
+    table = generate_table(SyntheticSpec(50, (ColumnSpec("a", 20), ColumnSpec("b", 3)), seed=4))
+    monkeypatch.setattr(table_module, "_padded", None)  # the string path would call it
+    text = table.to_delimited()
+    assert "values" not in vars(table)  # nothing was decoded
+    assert ingest_delimited(text.encode(), IngestOptions(table_name="synthetic")) == table
+
+
 def test_to_delimited_of_no_rows_writes_the_header_only():
     table = Table.from_rows("t", ["a", "b;c"], [])
     assert table.to_delimited() == "a,b;c\n"
@@ -840,6 +926,9 @@ def test_to_delimited_quotes_an_empty_na_token_in_a_lone_column():
     options = IngestOptions(table_name="t", na_token="")
     assert table.to_delimited(options) == 'a\nx\n""\n'
     assert ingest_delimited(table.to_delimited(options).encode(), options) == table
+    # and from byte keys, which are never empty, so only the NA token is quoted
+    ingested = ingest_delimited(b'a\nx\n""\n', options)
+    assert ingested.to_delimited(options) == 'a\nx\n""\n'
 
 
 @pytest.mark.parametrize("delimiter", [",", "§"])
