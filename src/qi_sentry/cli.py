@@ -19,9 +19,14 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from . import assessment, classifier, generate, metrics, oracle, selection
-from .errors import QiSentryError
-from .table import IngestOptions, Table, ingest_delimited
+# numpy's bundled OpenBLAS starts a worker thread per extra core as it
+# loads, and the thread spins for a while before it sleeps. qi-sentry makes
+# no BLAS call, so this process asks for none, unless the user chose a count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import assessment, classifier, metrics, selection  # noqa: E402
+from .errors import IngestError, QiSentryError  # noqa: E402
+from .table import IngestOptions, Table, ingest_delimited  # noqa: E402
 
 RULES_ENV_VAR = "QI_SENTRY_RULES"
 
@@ -33,8 +38,11 @@ def _load_table(args) -> Table:
         table_name=path.stem,
         na_token=args.na_token,
     )
-    with open(path, "rb") as handle:
-        return ingest_delimited(handle, options)
+    try:
+        with open(path, "rb") as handle:
+            return ingest_delimited(handle, options)
+    except OSError as exc:
+        raise IngestError(f"cannot read input file {path}: {exc}") from None
 
 
 def _load_rules(args) -> classifier.ClassificationRules:
@@ -183,6 +191,8 @@ def cmd_select(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from . import generate
+
     spec = generate.load_spec(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
@@ -199,6 +209,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle
+
     table = _load_table(args)
     divergence = oracle.first_divergence(table)
     if divergence is not None:

@@ -81,9 +81,10 @@ _ASCII_WS = " \t\r\n\x0b\x0c"
 # as slow as chunks of 4096 on 300k- and 700k-row files.
 _CHUNK_RECORDS = 4096
 
-# Bytes read per block of ingest. On the same machine, a select of a
-# 700k-row, 23 MB file peaked at 105, 108, 123 and 199 MB RSS with blocks
-# of 256 KiB, 1 MiB, 4 MiB and 16 MiB, in about the same time.
+# Bytes read per block of ingest. On the same machine, an in-process select
+# of the 700k-row, 23 MB lowcard benchmark file (seed 9901) peaked at 49, 56
+# and 109 MB RSS with blocks of 512 KiB, 1 MiB and 4 MiB, in 0.49-0.55,
+# 0.49-0.55 and 0.58-0.63 s (three runs each).
 _BLOCK_BYTES = 1 << 20
 
 # Rows gathered per step of to_delimited. On the same machine, a 700k-row,
@@ -191,7 +192,8 @@ class Table:
     immutable after construction and safe to share across threads: the
     decode is deterministic, so two threads that race on it only decode
     twice. Build them with :meth:`from_rows`, :meth:`from_codes` or
-    :func:`ingest_delimited` rather than calling the dataclass directly.
+    :func:`ingest_delimited` (the generator uses the private
+    :meth:`_from_keys`) rather than calling the dataclass directly.
 
     Raises ``ValueError`` for a table with no columns, or a column name
     that is empty, has ASCII whitespace at an edge or repeats another

@@ -253,6 +253,23 @@ def test_oversized_field_is_one_error_line_and_exit_2(workspace, capsys, command
     assert err == "error: malformed record: field larger than field limit (131072) (record 7)\n"
 
 
+@pytest.mark.parametrize("command", ["classify", "score", "select", "oracle"])
+@pytest.mark.parametrize("name", ["missing.csv", "folder"])
+def test_unreadable_input_is_one_error_line_naming_the_file_and_exit_2(
+    workspace, capsys, command, name
+):
+    (workspace / "folder").mkdir()
+    path = workspace / name
+    extra = ["--rules", str(workspace / "rules.json")] if command != "oracle" else []
+    if command == "select":
+        extra += ["--assessment", str(workspace / "high.json")]
+    code, out, err = run(capsys, command, "--input", str(path), *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read input file {path}: [Errno ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("delimiter", ['"', "\r", "\n"])
 def test_quote_or_line_break_delimiter_is_one_error_line_and_exit_2(workspace, capsys, delimiter):
     path = workspace / "cr.csv"
