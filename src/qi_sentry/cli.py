@@ -45,6 +45,14 @@ def _load_table(args) -> Table:
         raise IngestError(f"cannot read input file {path}: {exc}") from None
 
 
+def _write(path: str, text: str, noun: str) -> None:
+    """Write ``text`` to the file at ``path`` in UTF-8; an OSError names the file as ``noun``."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise QiSentryError(f"cannot write {noun} {path}: {exc}") from None
+
+
 def _load_rules(args) -> classifier.ClassificationRules:
     path = args.rules or os.environ.get(RULES_ENV_VAR)
     if path:
@@ -199,12 +207,12 @@ def cmd_generate(args) -> int:
     options = IngestOptions(delimiter=args.delimiter, na_token=args.na_token)
     text = generate.generate_table(spec).to_delimited(options)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        _write(args.output, text, "table file")
     else:
         sys.stdout.write(text)
     if args.rules_out:
         doc = classifier.rules_to_doc(generate.rules_for_spec(spec))
-        Path(args.rules_out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        _write(args.rules_out, json.dumps(doc, indent=2) + "\n", "rules file")
     return 0
 
 

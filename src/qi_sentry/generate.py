@@ -21,7 +21,7 @@ import numpy as np
 
 from .classifier import ClassificationRules, ColumnClass, Rule
 from .errors import InvalidSpec, read_json
-from .table import Table, canonicalize, densify
+from .table import Table, _Keys, canonicalize, densify
 
 _ZIPF_RE = re.compile(r"^zipf\(\s*([0-9.eE+-]+)\s*\)$")
 _GLOB_CHARS = re.compile(r"[*?[]")
@@ -52,6 +52,12 @@ class ColumnSpec:
             )
         if "\r" in self.name or "\n" in self.name:
             raise InvalidSpec(f"column name cannot hold a line break, got {self.name!r}")
+        try:
+            self.name.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, such as from a JSON "\udcff" escape
+            raise InvalidSpec(
+                f"column name cannot be encoded in UTF-8, got {self.name!r}"
+            ) from None
         if not 1 <= self.distinct_values <= MAX_DISTINCT_VALUES:
             raise InvalidSpec(
                 f"column {self.name!r}: distinct_values must be from 1 to "
@@ -138,16 +144,17 @@ def generate_table(spec: SyntheticSpec) -> Table:
     """Materialize a spec; one shared PCG64 stream, columns drawn in order.
 
     Symbol i is ``f"v{i}"``; symbols no row drew are left out. Each column
-    keeps its symbols as byte keys, as an ingested table does, so no
+    keeps its symbols as byte keys, the one form every table keeps, and no
     string is made per symbol. Distinct numbers give distinct, canonical
-    symbols and every kept symbol was drawn, so the table holds what
-    :meth:`Table.from_codes` checks without running its checks.
+    symbols of at most 8 bytes, one width class, and every kept symbol was
+    drawn, so the table holds what :meth:`Table.from_codes` checks without
+    running its checks.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     columns = []
     for col in spec.columns:
         drawn, codes = densify(_sample_codes(rng, col, spec.rows), col.distinct_values)
-        columns.append((col.name, _symbols(np.flatnonzero(drawn)), codes))
+        columns.append((col.name, _Keys((_symbols(np.flatnonzero(drawn)),), False), codes))
     return Table._from_keys(spec.name, columns)
 
 

@@ -9,12 +9,12 @@ Each column is stored factorized, once, when the table is built: its
 distinct values and, for every row, the position of that row's value
 among them, in the narrowest dtype that holds them (:func:`code_dtype`).
 Every distinct value occurs at least once, so a column's cardinality is
-their number. The metrics read only the codes and the cardinalities. A
-table built from Python cells keeps its distinct values as a tuple; an
-ingested or generated table keeps them as byte keys (``_Keys``), the
-keys ingest merged or the symbols the generator drew, and decodes each
-column's keys to strings once, on the first read of ``values``,
-``cells`` or ``==``. ``cells`` decodes the codes too, on first use.
+their number. The metrics read only the codes and the cardinalities.
+Every table keeps its distinct values as byte keys (``_Keys``): the keys
+ingest merged, the symbols the generator drew or the values that
+:meth:`Table.from_codes` encoded. It decodes each column's keys to
+strings once, on the first read of ``values``, ``cells`` or ``==``,
+and ``cells`` decodes the codes too.
 
 Ingest reads the bytes in blocks of about 1 MiB, each cut after its
 last newline. A block with no quote, CR or NUL byte, a one-byte ASCII
@@ -46,10 +46,10 @@ The writer pads each distinct value, in UTF-8 and ended by its delimiter
 or newline, with 0xff to its column's widest, and gathers ``_WRITE_ROWS``
 rows at a time from the codes into one byte buffer, less the padding: it
 makes no string per cell. It copies a column's byte keys straight into
-the padded values, decoding nothing, unless a value needs quoting or the
-delimiter is not ASCII; then it quotes and encodes each decoded value
-once. A key is never empty, so none needs the quotes that an empty field
-of a one-column table takes.
+the padded values and decodes nothing. Only in a column whose bytes hold
+the key of the delimiter, a quote, CR or LF does it look at each key,
+and quote, in bytes, those that hold one. A key is never empty, so none
+needs the quotes that an empty field of a one-column table takes.
 
 Cell comparison everywhere downstream is exact, case-sensitive string
 equality: ``"72"`` and ``"72.0"`` are different symbols on purpose.
@@ -187,13 +187,13 @@ class Table:
     ``values[p]`` holds column p's distinct cells and ``codes[p]`` (of
     ``code_dtype(cardinality(p))``, read-only) indexes it per row;
     ``cardinality(p)`` is ``len(values[p])`` without decoding. ``distinct[p]``
-    holds the same values as given: a tuple, or for an ingested or generated
-    column its undecoded keys, which ``values`` decodes on first read. Instances are
+    holds the same values as undecoded byte keys (:class:`_Keys`), however
+    the table was built; ``values`` decodes them on first read. Instances are
     immutable after construction and safe to share across threads: the
     decode is deterministic, so two threads that race on it only decode
     twice. Build them with :meth:`from_rows`, :meth:`from_codes` or
-    :func:`ingest_delimited` (the generator uses the private
-    :meth:`_from_keys`) rather than calling the dataclass directly.
+    :func:`ingest_delimited` rather than calling the dataclass directly;
+    each ends in the private :meth:`_from_keys`, as the generator does.
 
     Raises ``ValueError`` for a table with no columns, or a column name
     that is empty, has ASCII whitespace at an edge or repeats another
@@ -203,7 +203,7 @@ class Table:
 
     name: str
     columns: tuple[ColumnMeta, ...]
-    distinct: tuple[tuple[CellValue, ...] | _Keys, ...] = field(repr=False)
+    distinct: tuple[_Keys, ...] = field(repr=False)
     codes: tuple[np.ndarray, ...] = field(repr=False)
     row_count: int
     _index: dict[str, int] = field(init=False, repr=False)
@@ -211,7 +211,7 @@ class Table:
     def __post_init__(self):
         if not len(self.distinct) == len(self.codes) == len(self.columns):
             raise ValueError(
-                f"{len(self.columns)} columns but {len(self.distinct)} value tuples "
+                f"{len(self.columns)} columns but {len(self.distinct)} sets of distinct values "
                 f"and {len(self.codes)} code arrays"
             )
         if not self.columns:
@@ -255,7 +255,7 @@ class Table:
         Row i of a column holds ``values[codes[i]]``. Repeated or uncanonical
         values, codes out of range and values in no row are a ``ValueError``.
         """
-        checked = []
+        keyed = []
         for col_name, values, codes in columns:
             values, codes = tuple(values), np.asarray(codes)
             if len(set(values)) < len(values):
@@ -271,30 +271,22 @@ class Table:
             codes = codes.astype(code_dtype(len(values)), copy=False)
             if not np.bincount(codes, minlength=len(values)).all():
                 raise ValueError(f"column {col_name!r}: a value occurs in no row")
-            checked.append((col_name, values, codes))
-        return cls(
-            name=name,
-            columns=tuple(ColumnMeta(col_name) for col_name, _, _ in checked),
-            distinct=tuple(values for _, values, _ in checked),
-            codes=tuple(codes for _, _, codes in checked),
-            row_count=len(checked[0][2]) if checked else 0,
-        )
+            keyed.append((col_name, *_keyed(values, codes)))
+        return cls._from_keys(name, keyed)
 
     @classmethod
-    def _from_keys(
-        cls, name: str, columns: Sequence[tuple[str, np.ndarray, np.ndarray]]
-    ) -> "Table":
-        """Build a table from (column name, ``S{w}`` keys, integer codes) triples.
+    def _from_keys(cls, name: str, columns: Sequence[tuple[str, _Keys, np.ndarray]]) -> "Table":
+        """Build a table from (column name, keys, integer codes) triples, codes narrowed.
 
-        The keys must be distinct, never empty, in code order and all
-        coded, as :class:`_Keys` holds them; nothing checks that here.
+        Every constructor ends here. The keys must hold what :class:`_Keys`
+        promises, and every one must be coded; nothing checks that here.
         """
         return cls(
             name=name,
             columns=tuple(ColumnMeta(col_name) for col_name, _, _ in columns),
-            distinct=tuple(_Keys((keys,), False) for _, keys, _ in columns),
+            distinct=tuple(keys for _, keys, _ in columns),
             codes=tuple(ids.astype(code_dtype(len(keys)), copy=False) for _, keys, ids in columns),
-            row_count=len(columns[0][2]),
+            row_count=len(columns[0][2]) if columns else 0,
         )
 
     @classmethod
@@ -335,7 +327,7 @@ class Table:
     @cached_property
     def values(self) -> tuple[tuple[CellValue, ...], ...]:
         """Each column's distinct cells, in code order, decoded on first use."""
-        return tuple(d if isinstance(d, tuple) else d.decode() for d in self.distinct)
+        return tuple(keys.decode() for keys in self.distinct)
 
     @cached_property
     def cells(self) -> tuple[tuple[CellValue, ...], ...]:
@@ -352,11 +344,10 @@ class Table:
         """Render back to delimited text, missing cells as the sentinel, lines ended by LF.
 
         As RFC 4180 has it, a field is quoted, each ``"`` in it doubled, when
-        it holds the delimiter, a quote, CR or LF: once per distinct value,
-        then 0xff-padded (see the module docstring). A column of byte keys
-        that needs no quoting is padded from its keys, undecoded. It re-ingests
-        with the same options as an equal table; a value equal to the sentinel
-        is an IngestError.
+        it holds the delimiter, a quote, CR or LF: once per distinct value, in
+        bytes, then 0xff-padded (see the module docstring). No value is
+        decoded. It re-ingests with the same options as an equal table; a
+        value equal to the sentinel is an IngestError.
         """
         opts = options or IngestOptions()
         special = {opts.delimiter, '"', "\r", "\n"}
@@ -367,23 +358,13 @@ class Table:
             return text if plain else '"' + text.replace('"', '""') + '"'
 
         na, na_text = _key(opts.na_token), _utf8(quoted(opts.na_token))
-        special_key = _key("".join(special))
+        special_keys = [_key(s) for s in special]
         items = []
-        for pos, (meta, distinct) in enumerate(zip(self.columns, self.distinct)):
-            end = "\n" if pos == len(self.columns) - 1 else opts.delimiter
-            # keys are padded as they are when each field ends in one byte
-            from_keys = isinstance(distinct, _Keys) and opts.delimiter.isascii()
-            if distinct.holds(na) if from_keys else opts.na_token in self.values[pos]:
-                # it would read back as missing
+        for pos, (meta, keys) in enumerate(zip(self.columns, self.distinct)):
+            if keys.holds(na):  # it would read back as missing
                 raise IngestError(f"NA token {opts.na_token!r} is a value of column {meta.name!r}")
-            item = distinct.padded(na_text, ord(end), special_key) if from_keys else None
-            if item is None:
-                texts = [opts.na_token if v is None else v for v in self.values[pos]]
-                flat = "".join(texts)  # a scan per special character, and quotes only if one hits
-                if lone or any(s in flat for s in special):
-                    texts = list(map(quoted, texts))
-                item = _padded(texts, end)
-            items.append(item)
+            end = "\n" if pos == len(self.columns) - 1 else opts.delimiter
+            items.append(keys.padded(na_text, _utf8(end), special_keys))
         out = bytearray(_utf8(opts.delimiter.join(map(quoted, self.column_names)) + "\n"))
         bounds = np.cumsum([0, *(item.itemsize for item in items)])
         for lo in range(0, self.row_count, _WRITE_ROWS):
@@ -398,11 +379,10 @@ class Table:
 class _Keys:
     """A column's distinct values as byte keys, not yet decoded.
 
-    Ingest keeps the keys it merged, and the generator its symbols.
-    ``kept`` holds the present values' keys in code order, in one or
-    more ``S{w}`` arrays: UTF-8 bytes with NUL as 0xfe, never empty.
-    A missing value, if ``missing``, is coded last. The writer reads
-    the keys directly (:meth:`padded`).
+    ``kept`` holds the present values' keys in code order, in ``S{w}``
+    arrays of ingest's width classes: UTF-8 bytes with NUL as 0xfe, never
+    empty. A missing value, if ``missing``, is coded last. The writer
+    reads the keys directly (:meth:`padded`).
     """
 
     kept: tuple[np.ndarray, ...]
@@ -413,28 +393,39 @@ class _Keys:
 
     def decode(self) -> tuple[CellValue, ...]:
         # fields hold no 0xff, and 0xfe only for NUL
-        text = b"\xff".join([*chain.from_iterable(k.tolist() for k in self.kept), b""])
-        decoded = text.decode("utf-8", "surrogateescape").replace("\udcfe", "\0").split("\udcff")
-        return (*decoded[:-1], *[None] * self.missing)
+        data = b"\xff".join([*chain.from_iterable(k.tolist() for k in self.kept), b""])
+        text = data.decode("utf-8", "surrogateescape").replace("\udcfe", "\0")
+        decoded = text.split("\udcff")[:-1]
+        if "\udced" in text:  # the first byte of a lone surrogate, as _utf8 encodes it
+            decoded = [
+                v.encode("utf-8", "surrogateescape").decode("utf-8", "surrogatepass")
+                if "\udced" in v else v for v in decoded
+            ]
+        return (*decoded, *[None] * self.missing)
 
     def holds(self, key: bytes) -> bool:
         """Whether a present value has the key ``key``."""
         return any((k == key).any() for k in self.kept)
 
-    def padded(self, na: bytes, end: int, special: bytes) -> np.ndarray | None:
-        """As :func:`_padded` of the decoded values with ``na`` for missing, or None.
+    def padded(self, na: bytes, end: bytes, special: Sequence[bytes]) -> np.ndarray:
+        """Each value's bytes ended by ``end``, 0xff-padded to the longest, as ``V{w}``.
 
-        Reads the key bytes, with 0xfe written back as NUL, and ends each
-        value with the byte ``end``. None if a key holds a byte of the key
-        ``special``, as a value that needs quoting does.
+        Reads the key bytes, with 0xfe written back as NUL, and ``na`` for
+        a missing value. A key that holds one of the keys ``special`` is
+        quoted, each ``"`` in it doubled.
         """
-        data = b"".join(k.tobytes() for k in self.kept)
-        if any(byte in data for byte in special):
-            return None
-        rows = [k.view(np.uint8).reshape(len(k), k.itemsize) for k in self.kept]
+
+        def quoted(key: bytes) -> bytes:
+            return b'"' + key.replace(b'"', b'""') + b'"' if any(s in key for s in special) else key
+
+        kept, data = self.kept, b"".join(k.tobytes() for k in self.kept)
+        # no UTF-8 character starts inside another, so a key matches only whole characters
+        if any(s in data for s in special):
+            kept = [np.array(list(map(quoted, keys.tolist())), dtype="S") for keys in kept]
+        rows = [k.view(np.uint8).reshape(len(k), k.itemsize) for k in kept]
         # a key holds no NUL byte
         lengths = np.concatenate([np.zeros(0, int), *(np.count_nonzero(r, axis=1) for r in rows)])
-        width = max(len(na) if self.missing else 0, int(lengths.max(initial=0))) + 1  # and end
+        width = max(len(na) if self.missing else 0, int(lengths.max(initial=0))) + len(end)
         out = np.full((len(self), width), 0xFF, dtype=np.uint8)
         start = 0
         for r in rows:  # the bytes past the longest key are zero padding
@@ -443,9 +434,10 @@ class _Keys:
         out[out == 0] = 0xFF
         if b"\xfe" in data:
             out[out == 0xFE] = 0
-        out[np.arange(len(lengths)), lengths] = end  # last, as end may be NUL
+        for i, byte in enumerate(end):  # last, as end may be NUL
+            out[np.arange(len(lengths)), lengths + i] = byte
         if self.missing:
-            out[-1, : len(na) + 1] = np.frombuffer(na + bytes([end]), dtype=np.uint8)
+            out[-1, : len(na) + len(end)] = np.frombuffer(na + end, dtype=np.uint8)
         return out.view(f"V{width}").ravel()
 
 
@@ -458,21 +450,31 @@ def _key(text: str) -> bytes:
     return _utf8(text).replace(b"\0", b"\xfe")
 
 
+def _keyed(values: tuple[CellValue, ...], codes: np.ndarray) -> tuple[_Keys, np.ndarray]:
+    """``values`` as :class:`_Keys`, and ``codes`` recoded to them with one take.
+
+    Each present value is encoded once and falls in ingest's width class
+    of its key, keeping its order there; a missing value is coded last.
+    """
+    classes: dict[int, list[tuple[int, bytes]]] = {}
+    missing = None in values
+    for i, value in enumerate(values):
+        if value is not None:
+            key = _key(value)
+            classes.setdefault((max(len(key), 8) - 1).bit_length(), []).append((i, key))
+    members = [classes[c] for c in sorted(classes)]
+    order = [i for member in members for i, _ in member]
+    if missing:
+        order.append(values.index(None))
+    recode = np.empty(len(values), dtype=codes.dtype)
+    recode[order] = np.arange(len(values))
+    kept = tuple(np.array([key for _, key in member], dtype="S") for member in members)
+    return _Keys(kept, missing), recode.take(codes)
+
+
 def _decode(values: Sequence[object], codes: np.ndarray) -> list:
     """``[values[c] for c in codes]``, with one numpy take."""
     return np.array(values, dtype=object)[codes].tolist()
-
-
-def _padded(texts: list[str], end: str) -> np.ndarray:
-    """Each text ended by ``end``, in UTF-8 and padded with 0xff to the longest, as ``V{w}``."""
-    joined = end.join([*texts, ""])
-    if not joined.isascii():  # O(1); then count each text's bytes
-        texts, end = [_utf8(t) for t in texts], _utf8(end)
-    lengths = np.fromiter(map(len, texts), np.intp, len(texts)) + len(end)
-    width = int(lengths.max(initial=1))
-    out = np.full((len(texts), width), 0xFF, dtype=np.uint8)
-    out[np.arange(width) < lengths[:, None]] = np.frombuffer(_utf8(joined), dtype=np.uint8)
-    return out.view(f"V{width}").ravel()
 
 
 def _take(
@@ -566,19 +568,11 @@ class _Columns:
 
     def table(self, opts: IngestOptions) -> Table:
         na = _key(opts.na_token)
-        distinct, codes = [], []
-        for j in range(len(self.names)):
-            column_keys, column_codes = _merge(self.keys[j], self.parts[j], self.rows, na)
+        columns = []
+        for j, name in enumerate(self.names):
+            columns.append((name, *_merge(self.keys[j], self.parts[j], self.rows, na)))
             self.keys[j] = self.parts[j] = []  # free the column's blocks once it is merged
-            distinct.append(column_keys)
-            codes.append(column_codes)
-        return Table(
-            name=opts.table_name,
-            columns=tuple(map(ColumnMeta, self.names)),
-            distinct=tuple(distinct),
-            codes=tuple(codes),
-            row_count=self.rows,
-        )
+        return Table._from_keys(opts.table_name, columns)
 
 
 def _merge(keys: list[np.ndarray], parts: list, rows: int, na: bytes) -> tuple[_Keys, np.ndarray]:

@@ -55,7 +55,7 @@ def random_table(
 
 
 def twin_of(table: Table) -> Table:
-    """The table rebuilt by ``Table.from_codes`` from its decoded values, held as tuples."""
+    """The table rebuilt by ``Table.from_codes`` from its decoded values, each one checked."""
     return Table.from_codes(table.name, [
         (name, table.values[p], table.codes[p]) for p, name in enumerate(table.column_names)
     ])

@@ -750,6 +750,33 @@ def test_generate_column_name_with_a_line_break_is_one_error_line_and_exit_2(
     assert not output.exists()
 
 
+@pytest.mark.parametrize("to_file", [True, False])
+def test_generate_column_name_that_utf8_cannot_encode_is_one_error_line_and_exit_2(
+    workspace, capsys, to_file
+):
+    # a JSON escape gives a lone surrogate, which no UTF-8 header holds
+    path = workspace / "uspec.json"
+    path.write_text(json.dumps({"rows": 5, "columns": [{"name": "x\udcff", "distinct_values": 3}]}))
+    output = workspace / "out.csv"
+    code, out, err = run(capsys, "generate", "--spec", str(path),
+                         *(["--output", str(output)] if to_file else []))
+    assert (code, out) == (2, "")
+    assert err == "error: column name cannot be encoded in UTF-8, got 'x\\udcff'\n"
+    assert not output.exists()
+
+
+@pytest.mark.parametrize("flag, noun", [("--output", "table file"), ("--rules-out", "rules file")])
+def test_generate_to_a_missing_directory_names_the_file_and_exits_2(workspace, capsys, flag, noun):
+    spec = workspace / "gspec.json"
+    spec.write_text(json.dumps({"rows": 5, "columns": [{"name": "a", "distinct_values": 3}]}))
+    missing = workspace / "no_such_dir" / "out"
+    extra = ["--output", str(workspace / "table.csv")] if flag == "--rules-out" else []
+    code, out, err = run(capsys, "generate", "--spec", str(spec), flag, str(missing), *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {noun} {missing}: [Errno 2] ")
+    assert err.count("\n") == 1
+
+
 def test_generate_rules_out_keeps_every_hint_of_names_with_glob_characters(workspace, capsys):
     hints = {"a*": "SA", "a?": "DID", "ab": "QI", "[x]": "QI", "a,b": "QI", "x": "NSA"}
     spec = {"rows": 20, "columns": [
