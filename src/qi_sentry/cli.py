@@ -206,13 +206,18 @@ def cmd_generate(args) -> int:
         spec = dataclasses.replace(spec, seed=args.seed)
     options = IngestOptions(delimiter=args.delimiter, na_token=args.na_token)
     text = generate.generate_table(spec).to_delimited(options)
-    if args.output:
-        _write(args.output, text, "table file")
-    else:
-        sys.stdout.write(text)
-    if args.rules_out:
+    if args.rules_out:  # first, so a rules file that cannot be written leaves no table
         doc = classifier.rules_to_doc(generate.rules_for_spec(spec))
         _write(args.rules_out, json.dumps(doc, indent=2) + "\n", "rules file")
+    if not args.output:
+        sys.stdout.write(text)
+        return 0
+    try:
+        _write(args.output, text, "table file")
+    except QiSentryError:
+        if args.rules_out:  # both files or neither
+            Path(args.rules_out).unlink(missing_ok=True)
+        raise
     return 0
 
 

@@ -42,14 +42,15 @@ equal lengths and so meet in one class. The empty key and the NA token
 become missing, and the table keeps the other merged keys undecoded.
 Values are ordered by class, then by key, with missing last.
 
-The writer pads each distinct value, in UTF-8 and ended by its delimiter
-or newline, with 0xff to its column's widest, and gathers ``_WRITE_ROWS``
-rows at a time from the codes into one byte buffer, less the padding: it
-makes no string per cell. It copies a column's byte keys straight into
-the padded values and decodes nothing. Only in a column whose bytes hold
-the key of the delimiter, a quote, CR or LF does it look at each key,
-and quote, in bytes, those that hold one. A key is never empty, so none
-needs the quotes that an empty field of a one-column table takes.
+The writer ends each distinct value's key with the key of its delimiter
+or newline, zero-pads it to its column's widest, and gathers about
+``_WRITE_BYTES`` of rows at a time from the codes into one byte buffer,
+less the zeros: no key holds one. It makes no string per cell and
+decodes nothing; one pass turns 0xfe back into NUL, if the output holds
+any. Only in a column whose bytes hold the key of the delimiter, a
+quote, CR or LF does it look at each key, and quote, in bytes, those
+that hold one. A key is never empty, so none needs the quotes that an
+empty field of a one-column table takes.
 
 Cell comparison everywhere downstream is exact, case-sensitive string
 equality: ``"72"`` and ``"72.0"`` are different symbols on purpose.
@@ -87,10 +88,11 @@ _CHUNK_RECORDS = 4096
 # 0.49-0.55 and 0.58-0.63 s (three runs each).
 _BLOCK_BYTES = 1 << 20
 
-# Rows gathered per step of to_delimited. On the same machine, a 700k-row,
-# 7.7M-cell table was written in 0.16 s in steps of 1024 rows, in 0.13 s from
-# 4096 to 65536 (46-48 MB traced peak) and in 0.15 s (69 MB) in one step.
-_WRITE_ROWS = 1 << 14
+# Bytes gathered per step of to_delimited, padding included. On the same machine,
+# 256 KiB to 1 MiB wrote a 300k x 12 and a 700k x 11 table in 0.12-0.18 and
+# 0.07-0.10 s, 16 MiB in 0.15 and 0.12 s; and 10 kB rows (one 10 kB value among
+# 10k short ones) in 0.05-0.07 s, peak 102 MB traced, and 0.13 s, 134 MB.
+_WRITE_BYTES = 1 << 20
 
 _BOM = b"\xef\xbb\xbf"
 
@@ -345,9 +347,9 @@ class Table:
 
         As RFC 4180 has it, a field is quoted, each ``"`` in it doubled, when
         it holds the delimiter, a quote, CR or LF: once per distinct value, in
-        bytes, then 0xff-padded (see the module docstring). No value is
-        decoded. It re-ingests with the same options as an equal table; a
-        value equal to the sentinel is an IngestError.
+        bytes, on its key (see the module docstring). No value is decoded.
+        It re-ingests with the same options as an equal table; a value
+        equal to the sentinel is an IngestError.
         """
         opts = options or IngestOptions()
         special = {opts.delimiter, '"', "\r", "\n"}
@@ -357,21 +359,24 @@ class Table:
             plain = special.isdisjoint(text) and (text or not lone)
             return text if plain else '"' + text.replace('"', '""') + '"'
 
-        na, na_text = _key(opts.na_token), _utf8(quoted(opts.na_token))
+        na, na_key = _key(opts.na_token), _key(quoted(opts.na_token))
         special_keys = [_key(s) for s in special]
         items = []
         for pos, (meta, keys) in enumerate(zip(self.columns, self.distinct)):
             if keys.holds(na):  # it would read back as missing
                 raise IngestError(f"NA token {opts.na_token!r} is a value of column {meta.name!r}")
             end = "\n" if pos == len(self.columns) - 1 else opts.delimiter
-            items.append(keys.padded(na_text, _utf8(end), special_keys))
+            items.append(keys.padded(na_key, _key(end), special_keys))
         out = bytearray(_utf8(opts.delimiter.join(map(quoted, self.column_names)) + "\n"))
         bounds = np.cumsum([0, *(item.itemsize for item in items)])
-        for lo in range(0, self.row_count, _WRITE_ROWS):
-            buf = np.empty((min(_WRITE_ROWS, self.row_count - lo), bounds[-1]), dtype=np.uint8)
+        step = max(1, _WRITE_BYTES // int(bounds[-1]))
+        for lo in range(0, self.row_count, step):
+            buf = np.empty((min(step, self.row_count - lo), bounds[-1]), dtype=np.uint8)
             for item, codes, start, stop in zip(items, self.codes, bounds, bounds[1:]):
-                buf[:, start:stop].view(item.dtype)[:, 0] = item.take(codes[lo : lo + _WRITE_ROWS])
-            out.extend(buf[buf != 0xFF])  # one copy, through the buffer protocol
+                buf[:, start:stop].view(item.dtype)[:, 0] = item.take(codes[lo : lo + step])
+            out.extend(buf[buf != 0])  # one copy, through the buffer protocol
+        if 0xFE in out:  # the key of NUL; UTF-8 holds no 0xfe
+            out = out.replace(b"\xfe", b"\0")
         return out.decode("utf-8", "surrogatepass")  # as _utf8 encoded it
 
 
@@ -381,8 +386,9 @@ class _Keys:
 
     ``kept`` holds the present values' keys in code order, in ``S{w}``
     arrays of ingest's width classes: UTF-8 bytes with NUL as 0xfe, never
-    empty. A missing value, if ``missing``, is coded last. The writer
-    reads the keys directly (:meth:`padded`).
+    empty, zero-padded, so no key holds a zero byte. A missing value, if
+    ``missing``, is coded last. The writer pads and writes the keys as
+    they are (:meth:`padded`).
     """
 
     kept: tuple[np.ndarray, ...]
@@ -408,11 +414,11 @@ class _Keys:
         return any((k == key).any() for k in self.kept)
 
     def padded(self, na: bytes, end: bytes, special: Sequence[bytes]) -> np.ndarray:
-        """Each value's bytes ended by ``end``, 0xff-padded to the longest, as ``V{w}``.
+        """Each value's key ended by ``end``, zero-padded to the longest, as ``V{w}``.
 
-        Reads the key bytes, with 0xfe written back as NUL, and ``na`` for
-        a missing value. A key that holds one of the keys ``special`` is
-        quoted, each ``"`` in it doubled.
+        ``na`` stands for a missing value. ``na`` and ``end`` are keys too,
+        so no value holds a zero byte. A key that holds one of the keys
+        ``special`` is quoted, each ``"`` in it doubled.
         """
 
         def quoted(key: bytes) -> bytes:
@@ -422,23 +428,12 @@ class _Keys:
         # no UTF-8 character starts inside another, so a key matches only whole characters
         if any(s in data for s in special):
             kept = [np.array(list(map(quoted, keys.tolist())), dtype="S") for keys in kept]
-        rows = [k.view(np.uint8).reshape(len(k), k.itemsize) for k in kept]
-        # a key holds no NUL byte
-        lengths = np.concatenate([np.zeros(0, int), *(np.count_nonzero(r, axis=1) for r in rows)])
-        width = max(len(na) if self.missing else 0, int(lengths.max(initial=0))) + len(end)
-        out = np.full((len(self), width), 0xFF, dtype=np.uint8)
-        start = 0
-        for r in rows:  # the bytes past the longest key are zero padding
-            out[start : start + len(r), : r.shape[1]] = r[:, :width]
-            start += len(r)
-        out[out == 0] = 0xFF
-        if b"\xfe" in data:
-            out[out == 0xFE] = 0
-        for i, byte in enumerate(end):  # last, as end may be NUL
-            out[np.arange(len(lengths)), lengths + i] = byte
-        if self.missing:
-            out[-1, : len(na) + len(end)] = np.frombuffer(na + end, dtype=np.uint8)
-        return out.view(f"V{width}").ravel()
+        ended = [np.char.add(keys, end) for keys in kept] + [np.array([na + end])] * self.missing
+        if not ended:  # a table of no rows
+            return np.zeros(0, dtype="V1")
+        # add sums its inputs' itemsizes, so the longest value, not the dtype, sets the width
+        width = max(int(np.char.str_len(e).max(initial=1)) for e in ended)
+        return np.concatenate(ended, dtype=f"S{width}").view(f"V{width}")
 
 
 def _key(text: str) -> bytes:

@@ -765,16 +765,26 @@ def test_generate_column_name_that_utf8_cannot_encode_is_one_error_line_and_exit
     assert not output.exists()
 
 
-@pytest.mark.parametrize("flag, noun", [("--output", "table file"), ("--rules-out", "rules file")])
-def test_generate_to_a_missing_directory_names_the_file_and_exits_2(workspace, capsys, flag, noun):
+@pytest.mark.parametrize("flag, noun, other", [
+    pytest.param("--output", "table file", None, id="--output-table file"),
+    pytest.param("--output", "table file", "--rules-out", id="--output-table file-and rules"),
+    pytest.param("--rules-out", "rules file", "--output", id="--rules-out-rules file"),
+    pytest.param("--rules-out", "rules file", None, id="--rules-out-rules file-and stdout"),
+])
+def test_generate_to_a_missing_directory_names_the_file_and_exits_2(
+    workspace, capsys, flag, noun, other
+):
     spec = workspace / "gspec.json"
     spec.write_text(json.dumps({"rows": 5, "columns": [{"name": "a", "distinct_values": 3}]}))
     missing = workspace / "no_such_dir" / "out"
-    extra = ["--output", str(workspace / "table.csv")] if flag == "--rules-out" else []
+    extra = [other, str(workspace / "other")] if other else []
+    before = set(workspace.iterdir())
     code, out, err = run(capsys, "generate", "--spec", str(spec), flag, str(missing), *extra)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write {noun} {missing}: [Errno 2] ")
     assert err.count("\n") == 1
+    # both files or neither: a rules file written before the table failed is removed
+    assert set(workspace.iterdir()) == before
 
 
 def test_generate_rules_out_keeps_every_hint_of_names_with_glob_characters(workspace, capsys):

@@ -97,7 +97,7 @@ def _workloads():
     ("lowcard", "e59b1d3567e5a49c561857b01d28ea369c1626e6acca4e4716792b1f809cf696"),
 ])
 def test_benchmark_tables_keep_their_bytes(name, sha256):
-    # at scale: 7-digit symbols, uint16 and int32 codes and many _WRITE_ROWS steps,
+    # at scale: 7-digit symbols, uint16 and int32 codes and many _WRITE_BYTES steps,
     # which the small goldens do not reach
     text = generate_table(_workloads().workload(name, 9901).spec).to_delimited()
     assert hashlib.sha256(text.encode()).hexdigest() == sha256

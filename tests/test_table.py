@@ -852,14 +852,18 @@ def written_tables(draw):
     return Table.from_rows("t", names, rows), opts
 
 
+WRITE_BUDGETS = (1, 8, 24, table_module._WRITE_BYTES)
+
+
 @settings(max_examples=400, deadline=None)
 @given(written_tables())
 def test_to_delimited_matches_the_csv_writer_rendering(case):
     table, opts = case
-    # steps of 1 to 3 rows put chunk edges inside these tables of at most 6 rows
-    for write_rows in (1, 2, 3, table_module._WRITE_ROWS):
+    # budgets of 1 to 24 bytes take 1 to 8 rows a step, so step edges fall inside
+    # these tables of at most 6 rows
+    for write_bytes in WRITE_BUDGETS:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(table_module, "_WRITE_ROWS", write_rows)
+            patch.setattr(table_module, "_WRITE_BYTES", write_bytes)
             if any(opts.na_token in values for values in table.values):
                 with pytest.raises(IngestError, match="is a value of column"):
                     table.to_delimited(opts)
@@ -868,13 +872,14 @@ def test_to_delimited_matches_the_csv_writer_rendering(case):
 
 
 @pytest.mark.parametrize("delimiter", [",", ";", "§"])
-def test_to_delimited_matches_the_csv_writer_across_steps(delimiter):
+def test_to_delimited_matches_the_csv_writer_across_steps(monkeypatch, delimiter):
     columns = (
         ColumnSpec("short", 3),
         ColumnSpec("mixed", 5_000, "zipf(1.1)"),
         ColumnSpec("long", 200_000),
     )
-    spec = SyntheticSpec(rows=2 * table_module._WRITE_ROWS + 7, columns=columns, seed=18)
+    monkeypatch.setattr(table_module, "_WRITE_BYTES", 1 << 14)  # rows of 17 to 19 bytes: 35 to 39 steps
+    spec = SyntheticSpec(rows=32_775, columns=columns, seed=18)
     table = generate_table(spec)
     opts = IngestOptions(delimiter=delimiter, table_name=spec.name)
     text = table.to_delimited(opts)
@@ -919,9 +924,9 @@ def keyed_tables(draw):
        st.sampled_from(["NA", "v0", "", "no value given"]))  # the last is wider than S8 keys
 def test_byte_keys_are_written_as_their_decoded_values(table, delimiter, na_token):
     options = IngestOptions(delimiter=delimiter, na_token=na_token)
-    for write_rows in (1, 2, 3, table_module._WRITE_ROWS):
+    for write_bytes in WRITE_BUDGETS:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(table_module, "_WRITE_ROWS", write_rows)
+            patch.setattr(table_module, "_WRITE_BYTES", write_bytes)
             if any(na_token in values for values in table.values):
                 with pytest.raises(IngestError, match="is a value of column"):
                     table.to_delimited(options)
@@ -950,6 +955,34 @@ def test_a_nul_value_is_quoted_under_a_nul_delimiter():
     options = IngestOptions(delimiter="\0", table_name="t")
     assert table.to_delimited(options) == 'a\0b\n"abc\0efgh"\0x\n'
     assert ingest_delimited(table.to_delimited(options).encode(), options) == table
+
+
+@pytest.mark.parametrize("na_token", ["\0", "N\0A"])
+def test_a_nul_na_token_and_values_ending_in_nul_round_trip_under_a_nul_delimiter(na_token):
+    # keys hold NUL as 0xfe, the NA token and the delimiter too; the writer restores NUL once
+    rows = [["x\0", "ab\0"], [None, "\0\0"], ["12345678\0", None], ["N\0", "v"]]
+    table = Table.from_rows("t", ["a", "b"], rows)
+    options = IngestOptions(delimiter="\0", table_name="t", na_token=na_token)
+    text = table.to_delimited(options)
+    assert text == reference_write(table, options)
+    ingested = ingest_delimited(text.encode(), options)
+    assert ingested == table
+    assert ingested.to_delimited(options) == text
+
+
+def test_one_long_value_writes_within_twice_its_padded_values():
+    # the writer pads 2,001 values to 10 kB each, about 20 MB; its gather buffer
+    # is bounded by bytes, not rows
+    rows = [[f"s{i}"] for i in range(2_000)] + [["x" * 10_000]]
+    table = Table.from_rows("t", ["a"], rows)
+    tracemalloc.start()
+    try:
+        text = table.to_delimited()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "a\n" + "".join(row[0] + "\n" for row in rows)
+    assert peak < 2 * len(rows) * (10_000 + 1)
 
 
 def test_a_generated_table_is_written_from_its_keys():
