@@ -147,8 +147,8 @@ def generate_table(spec: SyntheticSpec) -> Table:
     keeps its symbols as byte keys, the one form every table keeps, and no
     string is made per symbol. Distinct numbers give distinct, canonical
     symbols of at most 8 bytes, one width class, and every kept symbol was
-    drawn, so the table holds what :meth:`Table.from_codes` checks without
-    running its checks.
+    drawn. So each column's values are distinct, canonical and each drawn
+    by a row, as every table's must be, and nothing runs to check it.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     columns = []

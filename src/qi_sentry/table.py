@@ -11,8 +11,8 @@ among them, in the narrowest dtype that holds them (:func:`code_dtype`).
 Every distinct value occurs at least once, so a column's cardinality is
 their number. The metrics read only the codes and the cardinalities.
 Every table keeps its distinct values as byte keys (``_Keys``): the keys
-ingest merged, the symbols the generator drew or the values that
-:meth:`Table.from_codes` encoded. It decodes each column's keys to
+ingest merged, the symbols the generator drew or the cells that
+:meth:`Table.from_rows` encoded. It decodes each column's keys to
 strings once, on the first read of ``values``, ``cells`` or ``==``,
 and ``cells`` decodes the codes too.
 
@@ -193,9 +193,9 @@ class Table:
     the table was built; ``values`` decodes them on first read. Instances are
     immutable after construction and safe to share across threads: the
     decode is deterministic, so two threads that race on it only decode
-    twice. Build them with :meth:`from_rows`, :meth:`from_codes` or
-    :func:`ingest_delimited` rather than calling the dataclass directly;
-    each ends in the private :meth:`_from_keys`, as the generator does.
+    twice. Build them with :meth:`from_rows` or :func:`ingest_delimited`
+    rather than calling the dataclass directly; each ends in the private
+    :meth:`_from_keys`, as the generator does.
 
     Raises ``ValueError`` for a table with no columns, or a column name
     that is empty, has ASCII whitespace at an edge or repeats another
@@ -249,34 +249,6 @@ class Table:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def from_codes(
-        cls, name: str, columns: Sequence[tuple[str, Sequence[CellValue], np.ndarray]]
-    ) -> "Table":
-        """Build a table from (column name, distinct values, integer codes) triples.
-
-        Row i of a column holds ``values[codes[i]]``. Repeated or uncanonical
-        values, codes out of range and values in no row are a ``ValueError``.
-        """
-        keyed = []
-        for col_name, values, codes in columns:
-            values, codes = tuple(values), np.asarray(codes)
-            if len(set(values)) < len(values):
-                raise ValueError(f"column {col_name!r}: a value is repeated")
-            flat = "".join(filter(None, values))  # whitespace scans; values only on a hit
-            suspect = values if "" in values or any(ws in flat for ws in _ASCII_WS) else ()
-            if bad := [v for v in suspect if v is not None and canonicalize(v) != v]:
-                raise ValueError(f"column {col_name!r}: value {bad[0]!r} is not canonical")
-            if codes.dtype.kind not in "iu" or codes.size and not (
-                0 <= codes.min() <= codes.max() < len(values)
-            ):
-                raise ValueError(f"column {col_name!r}: codes must be ints in [0, {len(values)})")
-            codes = codes.astype(code_dtype(len(values)), copy=False)
-            if not np.bincount(codes, minlength=len(values)).all():
-                raise ValueError(f"column {col_name!r}: a value occurs in no row")
-            keyed.append((col_name, *_keyed(values, codes)))
-        return cls._from_keys(name, keyed)
-
-    @classmethod
     def _from_keys(cls, name: str, columns: Sequence[tuple[str, _Keys, np.ndarray]]) -> "Table":
         """Build a table from (column name, keys, integer codes) triples, codes narrowed.
 
@@ -302,12 +274,12 @@ class Table:
                 raise ValueError(f"row has {len(row)} cells, expected {len(column_names)}")
             for col, value in zip(cols, row):
                 col.append(canonicalize(value))
-        coded = []
+        keyed = []
         for col_name, cells in zip(column_names, cols):
             ids = dict(zip(dict.fromkeys(cells), count()))
             codes = np.fromiter(map(ids.__getitem__, cells), code_dtype(len(ids)), len(cells))
-            coded.append((col_name, tuple(ids), codes))
-        return cls.from_codes(name, coded)
+            keyed.append((col_name, *_keyed(tuple(ids), codes)))
+        return cls._from_keys(name, keyed)
 
     # -- access -------------------------------------------------------
 

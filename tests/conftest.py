@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from qi_sentry import ClassificationRules, ColumnClass, Rule, Table
+from qi_sentry.table import canonicalize, code_dtype
 
 # The 5-row worked example: two columns with equal uniqueness but
 # different influence, two columns with neither.
@@ -55,7 +57,15 @@ def random_table(
 
 
 def twin_of(table: Table) -> Table:
-    """The table rebuilt by ``Table.from_codes`` from its decoded values, each one checked."""
-    return Table.from_codes(table.name, [
-        (name, table.values[p], table.codes[p]) for p, name in enumerate(table.column_names)
-    ])
+    """The table rebuilt by ``Table.from_rows`` from its decoded cells.
+
+    Asserts first that each column's values are distinct, canonical (none
+    empty or with ASCII whitespace at an edge) and each used by a row,
+    and that its codes have the narrowest dtype.
+    """
+    for values, codes in zip(table.values, table.codes):
+        assert len(set(values)) == len(values)
+        assert all(canonicalize(v) == v for v in values)
+        assert np.bincount(codes, minlength=len(values)).all()
+        assert codes.dtype == code_dtype(len(values))
+    return Table.from_rows(table.name, table.column_names, zip(*table.cells))

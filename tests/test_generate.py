@@ -71,8 +71,8 @@ def test_symbols_are_v_and_the_number_at_every_digit_boundary():
     assert keys[-1] == b"v9999999"  # the widest symbol fills all 8 bytes
 
 
-def test_generated_values_pass_the_checks_of_from_codes():
-    # generate_table skips from_codes; its twin runs every check on the same values
+def test_generated_values_are_distinct_canonical_and_each_used():
+    # generate_table checks none of the invariants of a table; twin_of asserts them all
     spec = spec_of(ColumnSpec("a", 1), ColumnSpec("b", 12, "zipf(1.5)"), ColumnSpec("c", 50_000),
                    ColumnSpec("d", 300, "zipf(1.1)"), rows=3_000)
     table = generate_table(spec)

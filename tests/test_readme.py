@@ -1,0 +1,40 @@
+"""README's examples, run as written: its JSON blocks parse, and its Python block prints."""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import io
+import json
+import re
+from pathlib import Path
+
+from qi_sentry.assessment import parse_form
+from qi_sentry.classifier import parse_rules, rules_to_doc
+from qi_sentry.generate import generate_table, parse_spec, rules_for_spec
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```(\w+)\n(.*?)^```", README, re.M | re.S)
+
+
+def blocks(language: str) -> list[str]:
+    return [body for lang, body in BLOCKS if lang == language]
+
+
+def test_readme_library_example_prints_the_final_qis(tmp_path, monkeypatch):
+    rules_doc, form_doc, spec_doc = map(json.loads, blocks("json"))  # in README's order
+    parse_rules(rules_doc)
+    parse_form(form_doc)
+    spec = parse_spec(spec_doc)
+    (tmp_path / "visits.csv").write_text(generate_table(spec).to_delimited(), encoding="utf-8")
+    rules = json.dumps(rules_to_doc(rules_for_spec(spec)))
+    (tmp_path / "rules.json").write_text(rules, encoding="utf-8")
+    (tmp_path / "requestor.json").write_text(json.dumps(form_doc), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    (example,) = blocks("python")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(example, "README.md", "exec"), {})
+    printed = ast.literal_eval(out.getvalue())
+    assert isinstance(printed, list) and printed == sorted(printed)
+    assert printed and set(printed) <= {col.name for col in spec.columns}

@@ -4,7 +4,6 @@ import contextlib
 import csv
 import io
 import random
-import re
 import time
 import tracemalloc
 
@@ -225,12 +224,9 @@ def test_canonicalize_is_idempotent():
 
 
 def test_table_rejects_mismatched_column_lengths():
-    with pytest.raises(ValueError):
-        Table.from_codes(
-            "t",
-            [("a", ("1", "2"), np.array([0, 1], dtype="int32")),
-             ("b", ("1",), np.array([0], dtype="int32"))],
-        )
+    with pytest.raises(ValueError, match=r"column 'b' has uint8 codes of shape \(1,\)"):
+        Table._from_keys("t", [("a", _Keys((np.array([b"1", b"2"]),), False), np.array([0, 1])),
+                               ("b", _Keys((np.array([b"1"]),), False), np.array([0]))])
 
 
 def test_table_rejects_duplicate_names():
@@ -240,8 +236,6 @@ def test_table_rejects_duplicate_names():
 
 def test_table_rejects_no_columns():
     # written as a blank line, which reads back as an empty header
-    with pytest.raises(ValueError, match="no columns"):
-        Table.from_codes("t", [])
     with pytest.raises(ValueError, match="no columns"):
         Table.from_rows("t", [], [])
 
@@ -304,61 +298,26 @@ def test_table_rejects_codes_of_the_wrong_length():
 
 def test_tables_built_in_different_orders_compare_equal():
     by_rows = Table.from_rows("t", ["a"], [["y"], ["x"], ["y"]])
-    coded = Table.from_codes(
-        "t", [("a", ("x", "y"), np.array([1, 0, 1], dtype="int32"))]
-    )
-    assert by_rows == coded
+    ingested = ingest_delimited(b"a\ny\nx\ny\n", IngestOptions(table_name="t"))
+    assert by_rows.values == (("y", "x"),)  # in the order first seen
+    assert ingested.values == (("x", "y"),)  # in key order
+    assert by_rows == ingested
     assert by_rows != Table.from_rows("t", ["a"], [["y"], ["y"], ["x"]])
 
 
-@pytest.mark.parametrize("values, codes", [
-    (("x", "y", "z"), np.array([0, 1, 1])),  # z is in no row: 3 values, 2 classes
-    (("x", "y"), np.array([0, -1])),  # would read back as y
-    (("x", "y"), np.array([0, 1, 2])),
-    (tuple(f"v{i}" for i in range(256)), np.array([*range(256), 300])),  # 300 is 44 as uint8
-    ((), np.array([0], dtype=np.uint8)),
-    (("x",), np.array([], dtype=np.int32)),
-    (("x", "y"), np.array([0.0, 1.0])),
-])
-def test_from_codes_rejects_codes_that_do_not_index_every_value(values, codes):
-    with pytest.raises(ValueError, match="column 'a'"):
-        Table.from_codes("t", [("a", values, codes)])
-
-
-@pytest.mark.parametrize("values, message", [
-    (("x", "x"), "a value is repeated"),  # would count two classes of equal cells
-    ((None, None), "a value is repeated"),
-    (("", "x"), "value '' is not canonical"),  # written as "", it would read back as missing
-    ((" x", "y"), "value ' x' is not canonical"),
-    (("x", "y\t"), "value 'y\\t' is not canonical"),
-])
-def test_from_codes_rejects_values_that_are_repeated_or_not_canonical(values, message):
-    with pytest.raises(ValueError, match=re.escape(f"column 'a': {message}")):
-        Table.from_codes("t", [("a", values, np.array([0, 1]))])
-
-
-def test_from_codes_accepts_inner_whitespace_and_one_missing_value():
-    table = Table.from_codes("t", [("a", ("x y", None, "a\tb"), np.array([2, 1, 0]))])
-    assert table.cells == (("a\tb", None, "x y"),)
-
-
-def test_from_codes_narrows_the_codes_it_is_given():
-    table = Table.from_codes("t", [("a", ("x", "y"), np.array([1, 0, 1], dtype=np.int64))])
-    assert table.codes[0].dtype == np.uint8
-    assert table.cells == (("y", "x", "y"),)
+def test_from_rows_accepts_inner_whitespace_and_one_missing_value():
+    table = Table.from_rows("t", ["a"], [["a\tb"], [None], [" x y "], [""]])
+    assert table.cells == (("a\tb", None, "x y", None),)
+    assert table.cardinality(0) == 3
 
 
 # -- one form of distinct values: byte keys ------------------------------------
 
-@pytest.mark.parametrize("build", ["from_rows", "from_codes", "ingest", "generate_table"])
+@pytest.mark.parametrize("build", ["from_rows", "ingest", "generate_table"])
 def test_every_table_keeps_its_distinct_values_as_byte_keys(build):
     rows = [["x", None], ["é", "y" * 20], ["x", "z"]]
     table = {
         "from_rows": lambda: Table.from_rows("t", ["a", "b"], rows),
-        "from_codes": lambda: Table.from_codes("t", [
-            ("a", ("x", "é"), np.array([0, 1, 0])),
-            ("b", (None, "y" * 20, "z"), np.array([0, 1, 2])),
-        ]),
         "ingest": lambda: ingest_delimited(f"a,b\nx,\né,{'y' * 20}\nx,z\n".encode()),
         "generate_table": lambda: generate_table(
             SyntheticSpec(3, (ColumnSpec("a", 2), ColumnSpec("b", 3)))
@@ -369,12 +328,13 @@ def test_every_table_keeps_its_distinct_values_as_byte_keys(build):
         assert all(k.dtype.kind == "S" for k in keys.kept)
 
 
-def test_from_codes_codes_a_missing_value_last_wherever_it_is_given():
-    # the 9-byte value falls in a wider class than the others, so it moves too
-    values, codes = ("x", None, "y" * 9, "z"), np.array([3, 1, 0, 2, 1, 3])
-    table = Table.from_codes("t", [("a", values, codes)])
-    assert table.cells == (("z", None, "x", "y" * 9, None, "z"),)
-    assert table.values[0][-1] is None
+def test_from_rows_codes_a_missing_value_last_wherever_it_is_first_seen():
+    # the 9-byte value falls in a wider class than the others, so it follows them too
+    cells = ("z", None, "x", "y" * 9, None, "z")
+    table = Table.from_rows("t", ["a"], [[cell] for cell in cells])
+    assert table.cells == (cells,)
+    assert table.values == (("z", "x", "y" * 9, None),)
+    assert table.codes[0].tolist() == [0, 3, 1, 2, 3, 0]
     assert table.cardinality(0) == 4
 
 
