@@ -11,10 +11,10 @@ among them, in the narrowest dtype that holds them (:func:`code_dtype`).
 Every distinct value occurs at least once, so a column's cardinality is
 their number. The metrics read only the codes and the cardinalities.
 Every table keeps its distinct values as byte keys (``_Keys``): the keys
-ingest merged, the symbols the generator drew or the cells that
-:meth:`Table.from_rows` encoded. It decodes each column's keys to
-strings once, on the first read of ``values``, ``cells`` or ``==``,
-and ``cells`` decodes the codes too.
+ingest merged, from a file or from :meth:`Table.from_rows`' cells, or the
+symbols the generator drew, in number order, so ``==`` compares cells.
+It decodes each column's keys to strings once, on the first read of
+``values``, ``cells`` or ``==``, and ``cells`` decodes the codes too.
 
 Ingest reads the bytes in blocks of about 1 MiB, each cut after its
 last newline. A block with no quote, CR or NUL byte, a one-byte ASCII
@@ -27,20 +27,21 @@ place that reports malformed records. Faults are reported in record
 order: the records read before a malformed record or invalid UTF-8 are
 checked for ragged rows first.
 
-Both parsers feed one merge of byte keys, in numpy calls only. The
-cells of a ``csv.reader`` chunk are joined back into UTF-8 bytes, each
-ended by 0xff and with NUL written as 0xfe, neither of which UTF-8
-holds. Each field's start and length are moved past its leading and
-trailing ASCII whitespace, so the keys are canonical. Each column of a
-block or chunk is factorized on zero-padded keys, ``uint64`` up to 8
-bytes and above that ``S{w}`` in width classes of powers of two, so no
-key is padded to more than twice its length: with ``np.unique``, or
-for ``uint64`` keys of a small span with :func:`densify`, no sort. At
-the end, one factorization per class merges a column's keys across
-blocks, and one take per block writes its codes. Equal values have
-equal lengths and so meet in one class. The empty key and the NA token
-become missing, and the table keeps the other merged keys undecoded.
-Values are ordered by class, then by key, with missing last.
+Both parsers and :meth:`Table.from_rows` feed one merge of byte keys,
+in numpy calls only. The cells of a ``csv.reader`` chunk or of
+``from_rows`` are joined into UTF-8 bytes, each ended by 0xff and with
+NUL written as 0xfe, neither of which UTF-8 holds. Each field's start
+and length are moved past its leading and trailing ASCII whitespace, so
+the keys are canonical. Each column of a block or chunk is factorized
+on zero-padded keys, ``uint64`` up to 8 bytes and above that ``S{w}``
+in width classes of powers of two, so no key is padded to more than
+twice its length: with ``np.unique``, or for ``uint64`` keys of a small
+span with :func:`densify`, no sort. At the end, one factorization per
+class merges a column's keys across blocks, and one take per block
+writes its codes. Equal values have equal lengths and so meet in one
+class. The empty key and the NA token become missing, and the table
+keeps the other merged keys undecoded. Values are ordered by class,
+then by key, with missing last.
 
 The writer ends each distinct value's key with the key of its delimiter
 or newline, zero-pads it to its column's widest, and gathers about
@@ -49,8 +50,8 @@ less the zeros: no key holds one. It makes no string per cell and
 decodes nothing; one pass turns 0xfe back into NUL, if the output holds
 any. Only in a column whose bytes hold the key of the delimiter, a
 quote, CR or LF does it look at each key, and quote, in bytes, those
-that hold one. A key is never empty, so none needs the quotes that an
-empty field of a one-column table takes.
+that hold one, as it quotes the header and the NA token. Only an empty
+NA token takes the quotes that an empty field of a one-column table takes.
 
 Cell comparison everywhere downstream is exact, case-sensitive string
 equality: ``"72"`` and ``"72.0"`` are different symbols on purpose.
@@ -62,7 +63,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import chain, count, islice
+from itertools import chain, islice
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -194,8 +195,8 @@ class Table:
     immutable after construction and safe to share across threads: the
     decode is deterministic, so two threads that race on it only decode
     twice. Build them with :meth:`from_rows` or :func:`ingest_delimited`
-    rather than calling the dataclass directly; each ends in the private
-    :meth:`_from_keys`, as the generator does.
+    rather than calling the dataclass directly; both end in ingest's merge
+    and then in the private :meth:`_from_keys`, as the generator does.
 
     Raises ``ValueError`` for a table with no columns, or a column name
     that is empty, has ASCII whitespace at an edge or repeats another
@@ -267,19 +268,20 @@ class Table:
     def from_rows(
         cls, name: str, column_names: Sequence[str], rows: Iterable[Sequence[CellValue]]
     ) -> "Table":
-        """Build a table from row-major Python cells; cells are canonicalized."""
-        cols: list[list[CellValue]] = [[] for _ in column_names]
+        """Build a table from row-major Python cells, as ingest builds one from fields.
+
+        Each cell is keyed once by :func:`_key`, ``None`` as an empty field,
+        and fed to ingest's merge, its third feeder. No NA token: ``"NA"`` is a value.
+        """
+        keys: list[bytes] = []
         for row in rows:
             if len(row) != len(column_names):
                 raise ValueError(f"row has {len(row)} cells, expected {len(column_names)}")
-            for col, value in zip(cols, row):
-                col.append(canonicalize(value))
-        keyed = []
-        for col_name, cells in zip(column_names, cols):
-            ids = dict(zip(dict.fromkeys(cells), count()))
-            codes = np.fromiter(map(ids.__getitem__, cells), code_dtype(len(ids)), len(cells))
-            keyed.append((col_name, *_keyed(tuple(ids), codes)))
-        return cls._from_keys(name, keyed)
+            keys.extend(b"" if cell is None else _key(cell) for cell in row)
+        columns = _Columns(column_names)
+        if keys:
+            columns.add_keys(b"\xff".join([*keys, b""]))
+        return columns.table(name, b"")
 
     # -- access -------------------------------------------------------
 
@@ -324,22 +326,18 @@ class Table:
         equal to the sentinel is an IngestError.
         """
         opts = options or IngestOptions()
-        special = {opts.delimiter, '"', "\r", "\n"}
-        lone = len(self.columns) == 1  # where an empty field would read back as a blank line
-
-        def quoted(text: str) -> str:
-            plain = special.isdisjoint(text) and (text or not lone)
-            return text if plain else '"' + text.replace('"', '""') + '"'
-
-        na, na_key = _key(opts.na_token), _key(quoted(opts.na_token))
-        special_keys = [_key(s) for s in special]
+        na, delimiter = _key(opts.na_token), _key(opts.delimiter)
+        special = [delimiter, b'"', b"\r", b"\n"]
+        # an empty field alone on its line would read back as a blank line
+        na_field = _quoted(na, special) if na or len(self.columns) > 1 else b'""'
         items = []
         for pos, (meta, keys) in enumerate(zip(self.columns, self.distinct)):
             if keys.holds(na):  # it would read back as missing
                 raise IngestError(f"NA token {opts.na_token!r} is a value of column {meta.name!r}")
-            end = "\n" if pos == len(self.columns) - 1 else opts.delimiter
-            items.append(keys.padded(na_key, _key(end), special_keys))
-        out = bytearray(_utf8(opts.delimiter.join(map(quoted, self.column_names)) + "\n"))
+            end = b"\n" if pos == len(self.columns) - 1 else delimiter
+            items.append(keys.padded(na_field, end, special))
+        out = bytearray(delimiter.join([_quoted(_key(n), special) for n in self.column_names]))
+        out += b"\n"
         bounds = np.cumsum([0, *(item.itemsize for item in items)])
         step = max(1, _WRITE_BYTES // int(bounds[-1]))
         for lo in range(0, self.row_count, step):
@@ -390,16 +388,15 @@ class _Keys:
 
         ``na`` stands for a missing value. ``na`` and ``end`` are keys too,
         so no value holds a zero byte. A key that holds one of the keys
-        ``special`` is quoted, each ``"`` in it doubled.
+        ``special`` is quoted (:func:`_quoted`).
         """
-
-        def quoted(key: bytes) -> bytes:
-            return b'"' + key.replace(b'"', b'""') + b'"' if any(s in key for s in special) else key
-
         kept, data = self.kept, b"".join(k.tobytes() for k in self.kept)
         # no UTF-8 character starts inside another, so a key matches only whole characters
         if any(s in data for s in special):
-            kept = [np.array(list(map(quoted, keys.tolist())), dtype="S") for keys in kept]
+            kept = [
+                np.array([_quoted(key, special) for key in keys.tolist()], dtype="S")
+                for keys in kept
+            ]
         ended = [np.char.add(keys, end) for keys in kept] + [np.array([na + end])] * self.missing
         if not ended:  # a table of no rows
             return np.zeros(0, dtype="V1")
@@ -417,26 +414,9 @@ def _key(text: str) -> bytes:
     return _utf8(text).replace(b"\0", b"\xfe")
 
 
-def _keyed(values: tuple[CellValue, ...], codes: np.ndarray) -> tuple[_Keys, np.ndarray]:
-    """``values`` as :class:`_Keys`, and ``codes`` recoded to them with one take.
-
-    Each present value is encoded once and falls in ingest's width class
-    of its key, keeping its order there; a missing value is coded last.
-    """
-    classes: dict[int, list[tuple[int, bytes]]] = {}
-    missing = None in values
-    for i, value in enumerate(values):
-        if value is not None:
-            key = _key(value)
-            classes.setdefault((max(len(key), 8) - 1).bit_length(), []).append((i, key))
-    members = [classes[c] for c in sorted(classes)]
-    order = [i for member in members for i, _ in member]
-    if missing:
-        order.append(values.index(None))
-    recode = np.empty(len(values), dtype=codes.dtype)
-    recode[order] = np.arange(len(values))
-    kept = tuple(np.array([key for _, key in member], dtype="S") for member in members)
-    return _Keys(kept, missing), recode.take(codes)
+def _quoted(key: bytes, special: Sequence[bytes]) -> bytes:
+    """``key`` in quotes, each ``"`` in it doubled, if it holds one of the keys ``special``."""
+    return b'"' + key.replace(b'"', b'""') + b'"' if any(s in key for s in special) else key
 
 
 def _decode(values: Sequence[object], codes: np.ndarray) -> list:
@@ -462,31 +442,37 @@ def _take(
     return taken, None
 
 
+def _header_names(header: list[str] | None) -> list[str]:
+    """The column names in the cells of the header, record 1 (None if the input is empty)."""
+    if header is None:
+        raise IngestError("no columns: input is empty")
+    if not header:
+        raise IngestError("no columns: header is empty", row=1)
+    names = [cell.strip(_ASCII_WS) for cell in header]
+    seen = set()
+    for name in names:
+        if not name:
+            raise IngestError(f"empty column name in header {header!r}", row=1)
+        if name.lower() in seen:
+            raise IngestError(f"duplicate column name {name!r}", row=1)
+        seen.add(name.lower())
+    return names
+
+
 class _Columns:
-    """Byte keys of every column, merged across the records parsed so far.
+    """Byte keys of every column, merged across the records added so far.
 
     ``keys[j]`` holds column j's distinct canonical keys, block by block
     and in width classes (uint64 for up to 8 bytes, ``S{w}`` of a power of
     two ``w`` above); ``parts[j]`` holds each block's offset into them and
-    its cells' narrow indexes from there. Both parsers add to it.
+    its cells' narrow indexes from there. Both parsers and
+    :meth:`Table.from_rows` add to it.
     """
 
-    def __init__(self, header: list[str] | None):
-        """Columns named by the cells of the header, record 1 (None if the input is empty)."""
-        if header is None:
-            raise IngestError("no columns: input is empty")
-        if not header:
-            raise IngestError("no columns: header is empty", row=1)
-        self.names = [cell.strip(_ASCII_WS) for cell in header]
-        seen = set()
-        for name in self.names:
-            if not name:
-                raise IngestError(f"empty column name in header {header!r}", row=1)
-            if name.lower() in seen:
-                raise IngestError(f"duplicate column name {name!r}", row=1)
-            seen.add(name.lower())
-        self.keys: list[list[np.ndarray]] = [[] for _ in self.names]
-        self.parts: list[list[tuple[int, np.ndarray]]] = [[] for _ in self.names]
+    def __init__(self, names: Sequence[str]):
+        self.names = names
+        self.keys: list[list[np.ndarray]] = [[] for _ in names]
+        self.parts: list[list[tuple[int, np.ndarray]]] = [[] for _ in names]
         self.rows = 0
 
     @property
@@ -505,10 +491,13 @@ class _Columns:
             # each field ends in 0xff and NUL becomes 0xfe: UTF-8 holds neither byte,
             # and zero-padded keys could not tell "x\0" from "x"
             text = "\udcff".join([*chain.from_iterable(chunk), ""])
-            data = text.encode("utf-8", "surrogateescape").replace(b"\0", b"\xfe")
-            ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 0xFF)
-            lengths = np.diff(ends, prepend=-1) - 1
-            self.add_fields(*_split(data, ends, lengths, width, b"\xff"))
+            self.add_keys(text.encode("utf-8", "surrogateescape").replace(b"\0", b"\xfe"))
+
+    def add_keys(self, data: bytes) -> None:
+        """Add the records whose fields' keys ``data`` holds, row by row, each ended by 0xff."""
+        ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 0xFF)
+        lengths = np.diff(ends, prepend=-1) - 1
+        self.add_fields(*_split(data, ends, lengths, len(self.names), b"\xff"))
 
     def add_fields(self, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> None:
         """Add the records whose fields start at ``starts`` in ``buf`` (columns x records)."""
@@ -533,13 +522,13 @@ class _Columns:
             part.append((offset, local.astype(code_dtype(sum(map(len, keys)) - offset))))
         self.rows += starts.shape[1]
 
-    def table(self, opts: IngestOptions) -> Table:
-        na = _key(opts.na_token)
+    def table(self, name: str, na: bytes) -> Table:
+        """The table ``name`` of the keys added, with ``na`` and the empty key as missing."""
         columns = []
-        for j, name in enumerate(self.names):
-            columns.append((name, *_merge(self.keys[j], self.parts[j], self.rows, na)))
+        for j, column in enumerate(self.names):
+            columns.append((column, *_merge(self.keys[j], self.parts[j], self.rows, na)))
             self.keys[j] = self.parts[j] = []  # free the column's blocks once it is merged
-        return Table._from_keys(opts.table_name, columns)
+        return Table._from_keys(name, columns)
 
 
 def _merge(keys: list[np.ndarray], parts: list, rows: int, na: bytes) -> tuple[_Keys, np.ndarray]:
@@ -728,13 +717,13 @@ def ingest_delimited(source: bytes | IO[bytes], options: IngestOptions | None = 
             buf, starts, lengths = fields
             if columns is None:
                 header = block.partition(b"\n")[0].decode("utf-8").split(opts.delimiter)
-                columns = _Columns(header)
+                columns = _Columns(_header_names(header))
                 starts, lengths = starts[:, 1:], lengths[:, 1:]
             if starts.shape[1]:
                 columns.add_fields(buf, starts, lengths)
             offset += len(block)
         else:
-            return columns.table(opts)
+            return columns.table(opts.table_name, _key(opts.na_token))
 
     line = 1 if columns is None else columns.next_record  # numpy reads one record per line
     lines = _lines(chain([block], blocks), offset, line)
@@ -743,14 +732,14 @@ def ingest_delimited(source: bytes | IO[bytes], options: IngestOptions | None = 
         header, fault = _take(records, 1, 1)
         if fault:
             raise fault
-        columns = _Columns(header[0] if header else None)
+        columns = _Columns(_header_names(header[0] if header else None))
     while True:
         chunk, fault = _take(records, _CHUNK_RECORDS, columns.next_record)
         columns.add_records(chunk)  # a ragged row before the fault is the first fault
         if fault:
             raise fault
         if len(chunk) < _CHUNK_RECORDS:
-            return columns.table(opts)
+            return columns.table(opts.table_name, _key(opts.na_token))
 
 
 def _lines(blocks: Iterable[bytes], offset: int, line: int) -> Iterator[str]:

@@ -1,14 +1,16 @@
 """The whole ``select`` path, from a file's bytes to the final QIs, against an independent one.
 
-``perfbench/reference.py`` reads the same file with ``csv.reader``, dicts,
+``perfbench/reference.py`` reads a file with ``csv.reader``, dicts,
 ``Counter`` and exact ``Fraction``, and imports nothing from qi_sentry.
-It reads only the delimiter ``,`` and the NA token ``NA``, so those are
-the only ones drawn here. It cuts at ``Fraction(threshold)``, the binary
-value of the float, where the engine cuts at the decimal the threshold
-prints as. The two agree on multiples of 1/8, which binary holds
-exactly, so manual thresholds are drawn as k/8; a decimal such as 0.2,
-whose binary value lies just above 1/5, would set them apart on a score
-of exactly 1/5.
+It reads only the delimiter ``,`` and the NA token ``NA``. So qi-sentry
+reads the drawn table written with a drawn delimiter (``,``, ``;``, tab
+or ``§``), and the reference reads a ``,`` twin that ``csv.writer``
+writes from the same cells. Manual thresholds are drawn as decimals,
+k/20 and k/100 in [0, 2]. The engine cuts at the decimal a threshold
+prints as, so the reference is given that decimal as a ``Fraction``,
+which its own ``Fraction(threshold)`` keeps exact: a score of exactly
+1/5 meets 0.2 on both sides, though the float 0.2 lies just above 1/5.
+Draws seldom land on a threshold, so one explicit example does.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ import importlib.util
 import io
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qi_sentry import cli
@@ -43,7 +46,12 @@ reference = _load_reference()
 
 CLASSES = ["DID", "QI", "SA", "NSA"]
 EDGES = st.sampled_from(["", " ", "\t", " \t "])
-CORES = st.sampled_from(["a", "b", "1", "NA", "", "é", "한", "a,b", 'say "hi"', "x\ny"])
+CORES = st.sampled_from(
+    ["a", "b", "1", "NA", "", "é", "한", "a,b", "a;b", "a\tb", "a§b", 'say "hi"', "x\ny"]
+)
+DELIMITERS = st.sampled_from([",", ";", "\t", "§"])
+# decimals, most of which binary holds only approximately
+MANUAL = st.integers(0, 40).map(lambda k: k / 20) | st.integers(0, 200).map(lambda k: k / 100)
 
 # One form per grade, with the grade's threshold: linkage points, plus Yes
 # answers of risk and No answers of protection, plus knowledge and tenure,
@@ -60,19 +68,24 @@ FORMS = [
 
 @st.composite
 def select_runs(draw):
-    """A CSV file's bytes, its rules, universe, form, and the threshold it grades to or is given."""
+    """A CSV file's bytes in a drawn delimiter and their ``,`` twin; rules, universe, form,
+    the threshold it grades to or is given, and whether it was given."""
     n_cols = draw(st.integers(1, 4))
     names = [draw(st.sampled_from([f"c{j}", f"C{j}"])) for j in range(n_cols)]
     cell = st.builds(lambda *parts: "".join(parts), EDGES, CORES, EDGES)
     rows = draw(st.lists(st.lists(cell, min_size=n_cols, max_size=n_cols), min_size=1, max_size=30))
-    text = io.StringIO()
-    writer = csv.writer(
-        text,
-        lineterminator=draw(st.sampled_from(["\n", "\r\n"])),
-        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
-    )
-    writer.writerows([names, *rows])
-    data = draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text.getvalue().encode()
+    delimiter = draw(DELIMITERS)
+    lineterminator = draw(st.sampled_from(["\n", "\r\n"]))
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+
+    def written(delimiter: str) -> bytes:
+        text = io.StringIO()
+        writer = csv.writer(
+            text, delimiter=delimiter, lineterminator=lineterminator, quoting=quoting
+        )
+        writer.writerows([names, *rows])
+        return bom + text.getvalue().encode()
 
     # exact-name rules, in either case; a column without one takes the default
     assigned = [draw(st.sampled_from([*CLASSES, None])) for _ in names]
@@ -85,30 +98,47 @@ def select_runs(draw):
         ],
     }
     form, threshold = draw(st.sampled_from(FORMS))
-    manual = draw(st.none() | st.integers(0, 16))
+    manual = draw(st.none() | MANUAL)
     if manual is not None:
-        threshold = manual / 8
-    return data, rules, draw(st.sampled_from(["all", "qi"])), form, threshold, manual is not None
+        threshold = manual
+    universe = draw(st.sampled_from(["all", "qi"]))
+    return (
+        delimiter, written(delimiter), written(","), rules, universe, form, threshold,
+        manual is not None,
+    )
+
+
+# c0 has one single in 5 rows and c1 tells every row apart, so c0 scores exactly
+# 1/5 + 0: below the float 0.2 and equal to the decimal
+_ROWS = "".join(f"{a};{i}\n" for i, a in enumerate("aaaab"))
+SCORE_ON_THE_THRESHOLD = (
+    ";", f"c0;c1\n{_ROWS}".encode(), f"c0,c1\n{_ROWS.replace(';', ',')}".encode(),
+    {"default": "NSA", "rules": [{"match": "c0", "class": "QI"}]}, "all", FORMS[0][0], 0.2, True,
+)
 
 
 @settings(max_examples=150, deadline=None)
 @given(select_runs())
+@example(SCORE_ON_THE_THRESHOLD)
 def test_select_matches_the_reference_from_bytes_to_final_qis(run):
-    data, rules, universe, form, threshold, manual = run
+    delimiter, data, twin, rules, universe, form, threshold, manual = run
     with tempfile.TemporaryDirectory() as tmp:
-        table, rules_file, form_file = (Path(tmp, n) for n in ("t.csv", "rules.json", "form.json"))
+        table, twin_file, rules_file, form_file = (
+            Path(tmp, n) for n in ("t.csv", "twin.csv", "rules.json", "form.json")
+        )
         table.write_bytes(data)
+        twin_file.write_bytes(twin)
         rules_file.write_text(json.dumps(rules), encoding="utf-8")
         form_file.write_text(json.dumps(form), encoding="utf-8")
         argv = [
             "select", "--format", "json", "--no-timestamp", "--universe", universe,
-            "--input", str(table), "--rules", str(rules_file), "--assessment", str(form_file),
-            *(["--threshold", repr(threshold)] if manual else []),
+            "--input", str(table), "--delimiter", delimiter, "--rules", str(rules_file),
+            "--assessment", str(form_file), *(["--threshold", repr(threshold)] if manual else []),
         ]
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert cli.main(argv) == 0
-        expected = reference.answers(table, rules, universe, threshold)
+        expected = reference.answers(twin_file, rules, universe, Fraction(repr(threshold)))
     report = json.loads(out.getvalue())
     assert report["threshold"] == threshold
     assert reference.mismatches(report, expected) == []
