@@ -20,16 +20,19 @@ renders them.
 Grouping reads the integer codes the table stores for each column (see
 :mod:`qi_sentry.table`). Its one folding step is :func:`_pair_ids`: it
 gives every distinct pair of (group id, code) a dense id. Folding
-columns in one at a time counts N(S) for any subset; once every row is
-a group of its own the fold stops, since more columns cannot split
-anything. Scoring m columns folds the universe columns that are not
+columns in one at a time counts N(S) for any subset. A row alone in its
+group stays alone under any further column, so after each fold the
+groups of one row are dropped and only counted ("settled"): later folds
+read the rows left in shared groups, and once none is left the fold
+stops. Scoring m columns folds the universe columns that are not
 scored into one block, then finds all m counts N(U - {c}) with a
 halving recursion of about m log2 m folds. A node of that recursion
-whose key space (its group count times each of its columns'
-cardinalities) is at most ``_SORT_FREE_FACTOR * n``, and below 2**31,
-folds nothing: it marks each row's mixed-radix ``int32`` key in one
-occupancy array and reads every count off that array, one reduction
-over a column's axis per column.
+whose key space (its shared group count times each of its columns'
+cardinalities) is at most ``_SORT_FREE_FACTOR`` times its rows left,
+and below 2**31, folds nothing: it marks each row's mixed-radix
+``int32`` key in one occupancy array and reads every count off that
+array, one reduction over a column's axis per column, plus the settled
+groups.
 Uniqueness counts the codes with ``np.bincount``.
 """
 
@@ -47,10 +50,12 @@ from .classifier import ClassifiedTable
 from .errors import MetricUndefined
 from .table import _SORT_FREE_FACTOR, Table, densify
 
-# Group ids of a subset, and how many groups there are; no columns put
-# every row in one group, which needs no ids.
-_Grouping = tuple[np.ndarray | None, int]
-_ONE_GROUP: _Grouping = (None, 1)
+# The groups of a subset, less those of one row: the rows still in a
+# shared group (None for every row), their group ids in [0, count), the
+# count of shared groups, and the number of single-row groups dropped,
+# "settled". No columns put every row in one group, which needs no ids.
+_Grouping = tuple[np.ndarray | None, np.ndarray | None, int, int]
+_ONE_GROUP: _Grouping = (None, None, 1, 0)
 
 
 class UniversePolicy(str, Enum):
@@ -111,9 +116,9 @@ def _pair_ids(
 ) -> tuple[np.ndarray, int]:
     """Dense ids of the (a, b) pairs of ``n`` rows, and how many there are.
 
-    ``a`` and ``b`` hold dense ids in [0, card_a) and [0, card_b), and
-    neither count exceeds ``n``, so every pair key a * card_b + b stays
-    below n**2, within int64 for any n below 2**31. A key space of at
+    ``a`` and ``b`` hold ids in [0, card_a) and [0, card_b), and neither
+    count exceeds the table's rows, so every pair key a * card_b + b
+    stays within int64 for any table below 2**31 rows. A key space of at
     most ``_SORT_FREE_FACTOR * n`` is densified without a sort
     (:func:`qi_sentry.table.densify`); a larger one goes through np.unique.
     """
@@ -127,23 +132,52 @@ def _pair_ids(
     return ids, len(uniques)
 
 
+def _codes(table: Table, position: int, rows: np.ndarray | None) -> np.ndarray:
+    """The column's codes at ``rows``, or at every row for None."""
+    codes = table.codes[position]
+    return codes if rows is None else codes[rows]
+
+
+def _class_count(grouping: _Grouping) -> int:
+    """The groups of ``grouping``: its shared ones and its settled ones."""
+    return grouping[2] + grouping[3]
+
+
+def _settle(grouping: _Grouping) -> _Grouping:
+    """``grouping`` with its groups of one row dropped and counted as settled.
+
+    The shared groups left are numbered densely again, in their order.
+    A function of its own, so its temporaries are freed before the next fold.
+    """
+    rows, ids, count, settled = grouping
+    shared = np.bincount(ids, minlength=count) > 1
+    dropped = count - int(np.count_nonzero(shared))
+    if dropped:
+        keep = shared[ids]
+        rows = np.flatnonzero(keep) if rows is None else rows[keep]
+        ids = np.cumsum(shared, dtype=np.int32)[ids[keep]]
+        ids -= 1
+    return rows, ids, count - dropped, settled + dropped
+
+
 def _fold(table: Table, grouping: _Grouping, positions: Iterable[int]) -> _Grouping:
     """The grouping refined by the columns at ``positions``, one at a time.
 
-    Stops once every row is a group of its own: no further column can
-    split one.
+    After each column, the groups of one row leave the grouping and are
+    counted as settled (:func:`_settle`), since no further column can
+    split one. The fold stops once no row is left.
     """
-    ids, count = grouping
-    n = table.row_count
     for position in positions:
-        if count == n:
+        rows, ids, count, settled = grouping
+        if count == 0:
             break
-        codes, card = table.codes[position], table.cardinality(position)
+        codes, card = _codes(table, position, rows), table.cardinality(position)
         if ids is None:
             ids, count = codes, card
         else:
-            ids, count = _pair_ids(ids, count, codes, card, n)
-    return ids, count
+            ids, count = _pair_ids(ids, count, codes, card, len(ids))
+        grouping = _settle((rows, ids, count, settled))
+    return grouping
 
 
 def _occupancy_counts(
@@ -151,26 +185,29 @@ def _occupancy_counts(
 ) -> tuple[list[int], int]:
     """Leave-one-out class counts, and the full one, from one occupancy array.
 
-    Gives every row one mixed-radix key over ``space`` values: its group
-    id, then each position's code. The occupied keys are the classes of
-    the full grouping; viewed as (before, card, after), the classes
-    without a position are the (before, after) cells with any key set.
-    ``space`` is below 2**31, so the keys are ``int32``.
+    Gives every row left in ``grouping`` one mixed-radix key over
+    ``space`` values: its group id, then each position's code. The
+    occupied keys are the shared groups of the full grouping; viewed as
+    (before, card, after), the groups without a position are the
+    (before, after) cells with any key set. Every count adds the
+    grouping's settled groups, which no position splits. ``space`` is
+    below 2**31, so the keys are ``int32``.
     """
-    ids, count = grouping
+    rows, ids, count, settled = grouping
     keys = np.zeros(table.row_count, dtype=np.int32) if ids is None else ids.astype(np.int32)
     cards = [table.cardinality(p) for p in positions]
     for position, card in zip(positions, cards):
         keys *= card
-        keys += table.codes[position]
+        keys += _codes(table, position, rows)
     seen = np.zeros(space, dtype=bool)
     seen[keys] = True
     counts, before, after = [], count, space // count
     for card in cards:
         after //= card
-        counts.append(int(np.count_nonzero(seen.reshape(before, card, after).any(axis=1))))
+        classes = seen.reshape(before, card, after).any(axis=1)
+        counts.append(settled + int(np.count_nonzero(classes)))
         before *= card
-    return counts, int(np.count_nonzero(seen))
+    return counts, settled + int(np.count_nonzero(seen))
 
 
 def _leave_one_out(
@@ -179,21 +216,25 @@ def _leave_one_out(
     """Class counts of ``grouping`` plus ``positions`` minus each position.
 
     Also returns the count with every position folded in when
-    ``with_full`` is set, else None. A node whose key space, the group
-    count times each position's cardinality, is at most
-    ``_SORT_FREE_FACTOR * n`` and below 2**31 takes all its counts from
-    one occupancy array (:func:`_occupancy_counts`). A larger one splits
-    ``positions`` into halves, folds the right half into ``grouping`` and
-    recurses on the left, then the other way round: about m log2 m folds
-    for m positions, with O(log m) id arrays alive at a time.
+    ``with_full`` is set, else None. A grouping with no row left in a
+    shared group has every count at its settled groups. A node whose key
+    space, the shared group count times each position's cardinality, is
+    at most ``_SORT_FREE_FACTOR`` times its rows left and below 2**31
+    takes all its counts from one occupancy array
+    (:func:`_occupancy_counts`). A larger one splits ``positions`` into
+    halves, folds the right half into ``grouping`` and recurses on the
+    left, then the other way round: about m log2 m folds for m
+    positions, with O(log m) groupings alive at a time, each over the
+    rows its folds left.
     """
-    n = table.row_count
-    if grouping[1] == n:
-        return [n] * len(positions), n
+    rows, _, count, settled = grouping
+    if count == 0:
+        return [settled] * len(positions), settled
     if len(positions) == 1:
-        full = _fold(table, grouping, positions)[1] if with_full else None
-        return [grouping[1]], full
-    space = grouping[1] * math.prod(table.cardinality(p) for p in positions)
+        full = _class_count(_fold(table, grouping, positions)) if with_full else None
+        return [_class_count(grouping)], full
+    n = table.row_count if rows is None else len(rows)
+    space = count * math.prod(table.cardinality(p) for p in positions)
     if space <= _SORT_FREE_FACTOR * n and space < 1 << 31:
         counts, full = _occupancy_counts(table, grouping, positions, space)
         return counts, full if with_full else None
@@ -233,7 +274,7 @@ class GroupingEngine:
         if self._table.row_count == 0:
             raise MetricUndefined(f"table {self._table.name!r} has no rows")
         positions = sorted({self._table.position_of(c) for c in subset})
-        return _fold(self._table, _ONE_GROUP, positions)[1]
+        return _class_count(_fold(self._table, _ONE_GROUP, positions))
 
 
 def uniqueness(table: Table, column: str) -> float:

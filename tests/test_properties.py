@@ -23,6 +23,7 @@ from qi_sentry import (
     UniversePolicy,
     UserGrade,
     classify,
+    equivalence_class_count,
     grade_requestor,
     influence,
     ingest_delimited,
@@ -107,6 +108,81 @@ def test_score_columns_matches_oracle(table, data, sort_free_factor):
             ]
             assert score_columns(classified, policy) == expected
             assert score_columns(classified, policy, max_workers=4) == expected
+
+
+@st.composite
+def settling_tables(draw):
+    """Tables whose groups turn into single rows partway through a fold.
+
+    An ID-like first column holds n/4 to n values, some repeated; columns
+    of one to three values (missing among them) and an all-missing one
+    follow.
+    """
+    n = draw(st.integers(4, 40))
+    card = draw(st.integers(max(1, n // 4), n))
+    repeats = draw(st.lists(st.integers(0, card - 1), min_size=n - card, max_size=n - card))
+    ids = draw(st.permutations([f"id{v}" for v in [*range(card), *repeats]]))
+    low = draw(st.lists(
+        st.lists(st.sampled_from(["a", "b", None]), min_size=n, max_size=n), min_size=1, max_size=3
+    ))
+    names = ["id", *(f"k{i}" for i in range(len(low))), "gone"]
+    return Table.from_rows("t", names, zip(ids, *low, [None] * n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(settling_tables(), st.data())
+def test_scores_counts_and_class_counts_hold_as_rows_settle(table, data):
+    names, n = list(table.column_names), table.row_count
+    qis = data.draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    subsets = data.draw(st.lists(st.sets(st.sampled_from(names)), min_size=1, max_size=3))
+    classified = classify(
+        table, ClassificationRules(rules=tuple(Rule(c, ColumnClass.QI) for c in qis))
+    )
+    scored = [c for c in names if c in qis]
+    singles = {c: sum(k == 1 for k in Counter(table.column_values(c)).values()) for c in scored}
+    for sort_free_factor in (0, 4):
+        with mock.patch.object(metrics, "_SORT_FREE_FACTOR", sort_free_factor):
+            for policy in UniversePolicy:
+                universe = set(qis) if policy is UniversePolicy.PRIMARY_QIS_ONLY else set(names)
+                full = oracle_equivalence_class_count(table, universe)
+                expected = [
+                    (
+                        RiskScore.of(
+                            c, oracle_uniqueness(table, c), oracle_influence(table, c, universe)
+                        ),
+                        ScoreCounts(
+                            singles[c], n, full,
+                            oracle_equivalence_class_count(table, universe - {c}),
+                        ),
+                    )
+                    for c in scored
+                ]
+                assert [(s, s.counts) for s in score_columns(classified, policy)] == expected
+            for subset in subsets:
+                assert equivalence_class_count(table, subset) == oracle_equivalence_class_count(
+                    table, subset
+                )
+
+
+@settings(max_examples=200, deadline=None)
+@given(settling_tables(), st.data())
+def test_a_fold_pairs_only_the_rows_left_in_shared_groups(table, data):
+    # the ID column is folded first; the rows whose ID occurs once are
+    # settled, so the fold of the next column pairs only the others
+    other = data.draw(st.sampled_from(table.column_names[1:]))
+    shared = [k for k in Counter(table.column_values("id")).values() if k > 1]
+    seen = []
+    real = metrics._pair_ids
+
+    def pair_ids(a, card_a, b, card_b, n):
+        assert len(a) == len(b) == n
+        seen.append(n)
+        return real(a, card_a, b, card_b, n)
+
+    with mock.patch.object(metrics, "_pair_ids", pair_ids):
+        count = equivalence_class_count(table, {"id", other})
+    assert count == oracle_equivalence_class_count(table, {"id", other})
+    assert seen == ([sum(shared)] if shared else [])
 
 
 @settings(max_examples=300, deadline=None)

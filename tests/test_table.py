@@ -780,18 +780,45 @@ def test_to_delimited_quotes_a_cr_so_it_reads_back():
     assert ingest_delimited(table.to_delimited().encode()).cells == table.cells
 
 
+@pytest.mark.parametrize("names", [["\ufeffa", "b"], ["\ufeff", "b"]])
+def test_to_delimited_quotes_a_first_column_name_that_begins_with_a_bom(names):
+    # unquoted, the name would open the text with a BOM, which ingest drops
+    table = Table.from_rows("t", names, [["x", "y"]])
+    text = table.to_delimited()
+    assert text.startswith('"\ufeff')
+    read = ingest_delimited(text.encode(), IngestOptions(table_name="t"))
+    assert read.column_names == tuple(names)
+    assert read == table
+
+
+def test_a_width_class_of_missing_keys_adds_no_kept_array():
+    # "NA" and the empty field are the only short keys of their columns
+    table = Table.from_rows("t", ["a", "b"], [[None, "x" * 9], ["NA", None]])
+    assert [k.tolist() for k in table.distinct[1].kept] == [[b"x" * 9]]
+    assert [c.tolist() for c in table.codes] == [[1, 0], [0, 1]]
+    assert table.values == (("NA", None), ("x" * 9, None))
+    ingested = ingest_delimited(b"a,b\nNA,yyyyyyyyy\n,z\n")
+    assert ingested.distinct[0].kept == ()
+    assert [c.tolist() for c in ingested.codes] == [[0, 0], [1, 0]]
+    assert ingested.cells == ((None, None), ("yyyyyyyyy", "z"))
+
+
 # -- writing against the former csv.writer rendering --------------------------
 
 def reference_write(table: Table, opts: IngestOptions) -> str:
     """The table as to_delimited wrote it before it quoted values itself: a csv.writer
     pass over every cell, which quotes a field for the delimiter, a quote or LF, and
-    writes a lone empty field as ``""``.
+    writes a lone empty field as ``""``. A first name that begins with U+FEFF is
+    quoted too, so the text does not open with a BOM.
     """
     out = io.StringIO()
     writer = csv.writer(out, delimiter=opts.delimiter, lineterminator="\n")
     writer.writerow(table.column_names)
     writer.writerows([opts.na_token if v is None else v for v in row] for row in zip(*table.cells))
-    return out.getvalue()
+    text, first = out.getvalue(), table.column_names[0]
+    if text.startswith("\ufeff"):  # csv.writer left the name unquoted, so it holds no quote
+        text = f'"{first}"{text[len(first):]}'
+    return text
 
 
 # csv.writer leaves a bare CR unquoted, so the reference holds only for text without one
@@ -841,8 +868,6 @@ def test_from_rows_holds_the_keys_and_codes_that_ingest_of_its_text_holds(case, 
     table, opts = case
     if any(opts.na_token in values for values in table.values):
         return  # the text would not read back; see the test above
-    if table.column_names[0].startswith("\ufeff"):
-        return  # the text would open with a BOM, which ingest drops from the header
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(table_module, "_BLOCK_BYTES", block)  # several blocks to merge
         ingested = ingest_delimited(table.to_delimited(opts).encode(), opts)
