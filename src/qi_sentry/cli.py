@@ -12,9 +12,11 @@ divergence, 2 on any input or configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -46,11 +48,28 @@ def _load_table(args) -> Table:
 
 
 def _write(path: str, text: str, noun: str) -> None:
-    """Write ``text`` to the file at ``path`` in UTF-8; an OSError names the file as ``noun``."""
+    """Write ``text`` to the file at ``path`` in UTF-8; an OSError names the file as ``noun``.
+
+    If anything fails once the file is open, and so truncated, the file is removed.
+    """
+    opened = False
     try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise QiSentryError(f"cannot write {noun} {path}: {exc}") from None
+        with Path(path).open("w", encoding="utf-8") as handle:
+            opened = True
+            handle.write(text)
+    except BaseException as exc:
+        if opened:
+            _discard(path)
+        if isinstance(exc, OSError):
+            raise QiSentryError(f"cannot write {noun} {path}: {exc}") from None
+        raise
+
+
+def _discard(path: str) -> None:
+    """Remove the file at ``path`` if it is a regular one, not a device, pipe or link."""
+    with contextlib.suppress(OSError):
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
 
 
 def _load_rules(args) -> classifier.ClassificationRules:
@@ -201,10 +220,10 @@ def cmd_select(args) -> int:
 def cmd_generate(args) -> int:
     from . import generate
 
+    options = IngestOptions(delimiter=args.delimiter, na_token=args.na_token)
     spec = generate.load_spec(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    options = IngestOptions(delimiter=args.delimiter, na_token=args.na_token)
     text = generate.generate_table(spec).to_delimited(options)
     if args.rules_out:  # first, so a rules file that cannot be written leaves no table
         doc = classifier.rules_to_doc(generate.rules_for_spec(spec))
@@ -214,9 +233,9 @@ def cmd_generate(args) -> int:
         return 0
     try:
         _write(args.output, text, "table file")
-    except QiSentryError:
-        if args.rules_out:  # both files or neither
-            Path(args.rules_out).unlink(missing_ok=True)
+    except BaseException:
+        if args.rules_out:  # both files or neither, whatever failed
+            _discard(args.rules_out)
         raise
     return 0
 

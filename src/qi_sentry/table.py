@@ -64,7 +64,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, islice
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -80,9 +80,9 @@ CellValue = str | None
 # deliberately limited to the ASCII set.
 _ASCII_WS = " \t\r\n\x0b\x0c"
 
-# Records parsed per step of ingest. On a 2-core x86 machine, chunks of
-# 65536 records made csv parsing plus the column transpose about twice
-# as slow as chunks of 4096 on 300k- and 700k-row files.
+# Records per step of ingest's csv.reader path. On a 2-core x86 machine, in-process ingest
+# of CRLF copies of the 300k- and 700k-row seed-9901 benchmark files took 1.2-1.4 and 1.8-2.3 s
+# (peak RSS 86, 57 MB) with 4096, and 1.6-2.2 and 2.6-3.0 s (171-186, 170-174 MB) with 65536.
 _CHUNK_RECORDS = 4096
 
 # Bytes read per block of ingest. On the same machine, an in-process select
@@ -98,8 +98,6 @@ _BLOCK_BYTES = 1 << 20
 _WRITE_BYTES = 1 << 20
 
 _BOM = b"\xef\xbb\xbf"
-
-_utf8 = partial(str.encode, encoding="utf-8", errors="surrogatepass")  # keeps lone surrogates
 
 # _LOW_BYTES[k] keeps the first k bytes of a little-endian uint64 key
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype="<u8")
@@ -156,9 +154,10 @@ class IngestOptions:
     """Options for reading and writing delimited text, whose first record is the header.
 
     Raises :class:`IngestError` for a field of the wrong type, a
-    delimiter that is not one character or is a quote or line break
-    (no quoting writes it so that it reads back), or an ``na_token``
-    with ASCII whitespace at an edge, which no trimmed cell could match.
+    delimiter or ``na_token`` that UTF-8 cannot encode, a delimiter that
+    is not one character or is a quote or line break (no quoting writes
+    it so that it reads back), or an ``na_token`` with ASCII whitespace
+    at an edge, which no trimmed cell could match.
     """
 
     delimiter: str = ","
@@ -177,6 +176,11 @@ class IngestOptions:
             )
         if self.na_token != self.na_token.strip(_ASCII_WS):
             raise IngestError(f"NA token cannot start or end with whitespace, got {self.na_token!r}")
+        for noun, text in (("delimiter", self.delimiter), ("NA token", self.na_token)):
+            try:
+                _key(text)
+            except UnicodeEncodeError:
+                raise IngestError(f"{noun} cannot be encoded in UTF-8, got {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -202,9 +206,9 @@ class Table:
     and then in the private :meth:`_from_keys`, as the generator does.
 
     Raises ``ValueError`` for a table with no columns, or a column name
-    that is empty, has ASCII whitespace at an edge or repeats another
-    case-insensitively: :meth:`to_delimited` could not write it so that
-    it reads back.
+    that is empty, has ASCII whitespace at an edge, cannot be encoded in
+    UTF-8 or repeats another case-insensitively: :meth:`to_delimited`
+    could not write it so that it reads back.
     """
 
     name: str
@@ -226,6 +230,10 @@ class Table:
         for pos, meta in enumerate(self.columns):
             if not meta.name or meta.name != meta.name.strip(_ASCII_WS):
                 raise ValueError(f"column name {meta.name!r} is empty or has whitespace at an edge")
+            try:
+                _key(meta.name)
+            except UnicodeEncodeError:
+                raise ValueError(f"column name {meta.name!r} cannot be encoded in UTF-8") from None
             key = meta.name.lower()
             if key in index:
                 raise ValueError(f"duplicate column name {meta.name!r}")
@@ -273,8 +281,8 @@ class Table:
     ) -> "Table":
         """Build a table from row-major Python cells, as ingest builds one from fields.
 
-        Each cell is keyed once by :func:`_key`, ``None`` as an empty field,
-        and fed to ingest's merge, its third feeder. No NA token: ``"NA"`` is a value.
+        Each cell is keyed once by :func:`_key` (a lone surrogate raises), ``None`` as an
+        empty field, and fed to ingest's merge, its third feeder. No NA token: ``"NA"`` is a value.
         """
         keys: list[bytes] = []
         for row in rows:
@@ -352,18 +360,17 @@ class Table:
             out.extend(buf[buf != 0])  # one copy, through the buffer protocol
         if 0xFE in out:  # the key of NUL; UTF-8 holds no 0xfe
             out = out.replace(b"\xfe", b"\0")
-        return out.decode("utf-8", "surrogatepass")  # as _utf8 encoded it
+        return out.decode("utf-8")
 
 
 @dataclass(frozen=True)
 class _Keys:
     """A column's distinct values as byte keys, not yet decoded.
 
-    ``kept`` holds the present values' keys in code order, in one
-    ``S{w}`` array per width class of ingest that holds any: UTF-8 bytes
-    with NUL as 0xfe, never empty, zero-padded, so no key holds a zero
-    byte. A missing value, if
-    ``missing``, is coded last. The writer pads and writes the keys as
+    ``kept`` holds the present values' keys (:func:`_key`) in code order,
+    in one ``S{w}`` array per width class of ingest that holds any, never
+    empty and zero-padded, so no key holds a zero byte. A missing value,
+    if ``missing``, is coded last. The writer pads and writes the keys as
     they are (:meth:`padded`).
     """
 
@@ -374,16 +381,9 @@ class _Keys:
         return sum(map(len, self.kept)) + self.missing
 
     def decode(self) -> tuple[CellValue, ...]:
-        # fields hold no 0xff, and 0xfe only for NUL
-        data = b"\xff".join([*chain.from_iterable(k.tolist() for k in self.kept), b""])
-        text = data.decode("utf-8", "surrogateescape").replace("\udcfe", "\0")
-        decoded = text.split("\udcff")[:-1]
-        if "\udced" in text:  # the first byte of a lone surrogate, as _utf8 encodes it
-            decoded = [
-                v.encode("utf-8", "surrogateescape").decode("utf-8", "surrogatepass")
-                if "\udced" in v else v for v in decoded
-            ]
-        return (*decoded, *[None] * self.missing)
+        """Each value in code order, None if missing: strict UTF-8, 0xfe as NUL; inverts _key."""
+        keys = chain.from_iterable(k.tolist() for k in self.kept)
+        return (*(key.replace(b"\xfe", b"\0").decode() for key in keys), *[None] * self.missing)
 
     def holds(self, key: bytes) -> bool:
         """Whether a present value has the key ``key``."""
@@ -412,12 +412,11 @@ class _Keys:
 
 
 def _key(text: str) -> bytes:
-    """The key ingest gives a field ``text``: UTF-8, NUL as 0xfe.
+    """The key ingest gives a field ``text``: strict UTF-8, NUL as 0xfe; inverts _Keys.decode.
 
-    A lone surrogate (an undecodable byte of the command line) becomes
-    bytes that valid UTF-8 never holds, so it matches no field.
+    A lone surrogate, which UTF-8 cannot encode, raises ``UnicodeEncodeError``.
     """
-    return _utf8(text).replace(b"\0", b"\xfe")
+    return text.encode("utf-8").replace(b"\0", b"\xfe")
 
 
 def _quoted(key: bytes, special: Sequence[bytes]) -> bytes:

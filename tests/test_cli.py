@@ -787,6 +787,70 @@ def test_generate_to_a_missing_directory_names_the_file_and_exits_2(
     assert set(workspace.iterdir()) == before
 
 
+@pytest.mark.parametrize("failure, message", [
+    (OSError(28, "No space left on device"), "cannot write table file {}: [Errno 28] No space"),
+    (MemoryError(), "out of memory"),
+], ids=["OSError", "MemoryError"])
+def test_generate_that_fails_writing_the_table_leaves_neither_file(
+    workspace, capsys, monkeypatch, failure, message
+):
+    spec = workspace / "gspec.json"
+    spec.write_text(json.dumps({"rows": 5, "columns": [{"name": "a", "distinct_values": 3}]}))
+    table, rules = workspace / "out.csv", workspace / "out_rules.json"
+    real_open = Path.open
+
+    class FailingWrite:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.handle.close()
+
+        def write(self, text):
+            raise failure
+
+    def open_then_fail(path, *args, **kwargs):
+        # the table file is created and truncated; then its write fails
+        handle = real_open(path, *args, **kwargs)
+        return FailingWrite(handle) if path == table else handle
+
+    monkeypatch.setattr(Path, "open", open_then_fail)
+    before = set(workspace.iterdir())
+    code, out, err = run(capsys, "generate", "--spec", str(spec), "--output", str(table),
+                         "--rules-out", str(rules))
+    monkeypatch.undo()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message.format(table)}")
+    assert err.count("\n") == 1
+    assert set(workspace.iterdir()) == before
+
+
+@pytest.mark.parametrize("flag, noun", [("--delimiter", "delimiter"), ("--na-token", "NA token")])
+@pytest.mark.parametrize("command", ["select", "score", "classify", "generate"])
+def test_a_delimiter_or_na_token_that_utf8_cannot_encode_is_one_error_line_and_exit_2(
+    workspace, capsys, command, flag, noun
+):
+    # an undecodable byte such as $'\xff' reaches Python's argv as a lone surrogate
+    spec = workspace / "gspec.json"
+    spec.write_text(json.dumps({"rows": 5, "columns": [{"name": "a", "distinct_values": 3}]}))
+    if command == "generate":
+        argv = ["generate", "--spec", str(spec), "--output", str(workspace / "out.csv"),
+                "--rules-out", str(workspace / "out_rules.json")]
+    else:
+        argv = [command, "--input", str(workspace / "demo.csv"),
+                "--rules", str(workspace / "rules.json")]
+        if command == "select":
+            argv += ["--assessment", str(workspace / "high.json")]
+    before = set(workspace.iterdir())
+    code, out, err = run(capsys, *argv, flag, "\udcff")
+    assert (code, out) == (2, "")
+    assert err == f"error: {noun} cannot be encoded in UTF-8, got '\\udcff'\n"
+    assert set(workspace.iterdir()) == before
+
+
 def test_generate_rules_out_keeps_every_hint_of_names_with_glob_characters(workspace, capsys):
     hints = {"a*": "SA", "a?": "DID", "ab": "QI", "[x]": "QI", "a,b": "QI", "x": "NSA"}
     spec = {"rows": 20, "columns": [

@@ -4,8 +4,12 @@
 ``Counter`` and exact ``Fraction``, and imports nothing from qi_sentry.
 It reads only the delimiter ``,`` and the NA token ``NA``. So qi-sentry
 reads the drawn table written with a drawn delimiter (``,``, ``;``, tab
-or ``§``), and the reference reads a ``,`` twin that ``csv.writer``
-writes from the same cells. Manual thresholds are drawn as decimals,
+or ``§``) under a drawn ``--na-token``, and the reference reads a ``,``
+twin that ``csv.writer`` writes from the same cells, relabelled: a cell
+whose trimmed form is the drawn token becomes ``NA``, and a trimmed
+``NA`` that qi-sentry reads as a value becomes a symbol drawn nowhere
+else. Scores depend only on which cells are equal, so the relabelling
+keeps the answer. Manual thresholds are drawn as decimals,
 k/20 and k/100 in [0, 2]. The engine cuts at the decimal a threshold
 prints as, so the reference is given that decimal as a ``Fraction``,
 which its own ``Fraction(threshold)`` keeps exact: a score of exactly
@@ -50,6 +54,9 @@ CORES = st.sampled_from(
     ["a", "b", "1", "NA", "", "é", "한", "a,b", "a;b", "a\tb", "a§b", 'say "hi"', "x\ny"]
 )
 DELIMITERS = st.sampled_from([",", ";", "\t", "§"])
+# "a" is also a core, so its cells become missing
+NA_TOKENS = st.sampled_from(["NA", "", "-", "null", "N/A", "없음", "a"])
+FRESH = "NA as a value"  # no core, edge or token holds it
 # decimals, most of which binary holds only approximately
 MANUAL = st.integers(0, 40).map(lambda k: k / 20) | st.integers(0, 200).map(lambda k: k / 100)
 
@@ -68,24 +75,29 @@ FORMS = [
 
 @st.composite
 def select_runs(draw):
-    """A CSV file's bytes in a drawn delimiter and their ``,`` twin; rules, universe, form,
-    the threshold it grades to or is given, and whether it was given."""
+    """A CSV file's bytes in a drawn delimiter, its NA token and its relabelled ``,`` twin;
+    rules, universe, form, the threshold it grades to or is given, and whether it was given."""
     n_cols = draw(st.integers(1, 4))
     names = [draw(st.sampled_from([f"c{j}", f"C{j}"])) for j in range(n_cols)]
     cell = st.builds(lambda *parts: "".join(parts), EDGES, CORES, EDGES)
     rows = draw(st.lists(st.lists(cell, min_size=n_cols, max_size=n_cols), min_size=1, max_size=30))
     delimiter = draw(DELIMITERS)
+    na_token = draw(NA_TOKENS)
     lineterminator = draw(st.sampled_from(["\n", "\r\n"]))
     quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
     bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
 
-    def written(delimiter: str) -> bytes:
+    def written(delimiter: str, rows: list[list[str]]) -> bytes:
         text = io.StringIO()
         writer = csv.writer(
             text, delimiter=delimiter, lineterminator=lineterminator, quoting=quoting
         )
         writer.writerows([names, *rows])
         return bom + text.getvalue().encode()
+
+    def relabelled(cell: str) -> str:
+        trimmed = cell.strip(reference._ASCII_WS)
+        return "NA" if trimmed == na_token else FRESH if trimmed == "NA" else cell
 
     # exact-name rules, in either case; a column without one takes the default
     assigned = [draw(st.sampled_from([*CLASSES, None])) for _ in names]
@@ -102,9 +114,10 @@ def select_runs(draw):
     if manual is not None:
         threshold = manual
     universe = draw(st.sampled_from(["all", "qi"]))
+    twin = [[relabelled(cell) for cell in row] for row in rows]
     return (
-        delimiter, written(delimiter), written(","), rules, universe, form, threshold,
-        manual is not None,
+        delimiter, na_token, written(delimiter, rows), written(",", twin), rules, universe, form,
+        threshold, manual is not None,
     )
 
 
@@ -112,7 +125,7 @@ def select_runs(draw):
 # 1/5 + 0: below the float 0.2 and equal to the decimal
 _ROWS = "".join(f"{a};{i}\n" for i, a in enumerate("aaaab"))
 SCORE_ON_THE_THRESHOLD = (
-    ";", f"c0;c1\n{_ROWS}".encode(), f"c0,c1\n{_ROWS.replace(';', ',')}".encode(),
+    ";", "NA", f"c0;c1\n{_ROWS}".encode(), f"c0,c1\n{_ROWS.replace(';', ',')}".encode(),
     {"default": "NSA", "rules": [{"match": "c0", "class": "QI"}]}, "all", FORMS[0][0], 0.2, True,
 )
 
@@ -121,7 +134,7 @@ SCORE_ON_THE_THRESHOLD = (
 @given(select_runs())
 @example(SCORE_ON_THE_THRESHOLD)
 def test_select_matches_the_reference_from_bytes_to_final_qis(run):
-    delimiter, data, twin, rules, universe, form, threshold, manual = run
+    delimiter, na_token, data, twin, rules, universe, form, threshold, manual = run
     with tempfile.TemporaryDirectory() as tmp:
         table, twin_file, rules_file, form_file = (
             Path(tmp, n) for n in ("t.csv", "twin.csv", "rules.json", "form.json")
@@ -132,7 +145,8 @@ def test_select_matches_the_reference_from_bytes_to_final_qis(run):
         form_file.write_text(json.dumps(form), encoding="utf-8")
         argv = [
             "select", "--format", "json", "--no-timestamp", "--universe", universe,
-            "--input", str(table), "--delimiter", delimiter, "--rules", str(rules_file),
+            "--input", str(table), "--delimiter", delimiter, "--na-token", na_token,
+            "--rules", str(rules_file),
             "--assessment", str(form_file), *(["--threshold", repr(threshold)] if manual else []),
         ]
         out = io.StringIO()

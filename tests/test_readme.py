@@ -1,4 +1,7 @@
-"""README's examples, run as written: its JSON blocks parse, and its Python block prints."""
+"""README's examples, run as written: its JSON blocks parse, and its Python block prints.
+
+The sizes README states for ingest and the writer are the ones the code sets.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +12,7 @@ import json
 import re
 from pathlib import Path
 
+from qi_sentry import table
 from qi_sentry.assessment import parse_form
 from qi_sentry.classifier import parse_rules, rules_to_doc
 from qi_sentry.generate import generate_table, parse_spec, rules_for_spec
@@ -38,3 +42,17 @@ def test_readme_library_example_prints_the_final_qis(tmp_path, monkeypatch):
     printed = ast.literal_eval(out.getvalue())
     assert isinstance(printed, list) and printed == sorted(printed)
     assert printed and set(printed) <= {col.name for col in spec.columns}
+
+
+def test_readme_states_the_block_chunk_and_write_sizes_the_code_sets():
+    text = " ".join(README.split())  # a phrase may wrap across lines
+    stated = {
+        "blocks": re.findall(r"read in blocks of about (\d+) MiB", text),
+        "chunks": re.findall(r"chunks of (\d+) records", text),
+        "writes": re.findall(r"gathers about (\d+) MiB of rows", text),
+    }
+    assert stated == {
+        "blocks": [str(table._BLOCK_BYTES >> 20)],
+        "chunks": [str(table._CHUNK_RECORDS)],
+        "writes": [str(table._WRITE_BYTES >> 20)],
+    }
