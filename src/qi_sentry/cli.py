@@ -16,6 +16,7 @@ import contextlib
 import dataclasses
 import json
 import os
+import re
 import stat
 import sys
 from pathlib import Path
@@ -37,7 +38,9 @@ def _load_table(args) -> Table:
     path = Path(args.input)
     options = IngestOptions(
         delimiter=args.delimiter,
-        table_name=path.stem,
+        # each undecodable byte of the file name reaches Python as a lone surrogate,
+        # which no UTF-8 report holds: the name shows U+FFFD there
+        table_name=re.sub("[\ud800-\udfff]", "\ufffd", path.stem),
         na_token=args.na_token,
     )
     try:

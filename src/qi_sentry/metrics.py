@@ -19,12 +19,14 @@ renders them.
 
 Grouping reads the integer codes the table stores for each column (see
 :mod:`qi_sentry.table`). Its one folding step is :func:`_pair_ids`: it
-gives every distinct pair of (group id, code) a dense id. Folding
-columns in one at a time counts N(S) for any subset. A row alone in its
-group stays alone under any further column, so after each fold the
-groups of one row are dropped and only counted ("settled"): later folds
-read the rows left in shared groups, and once none is left the fold
-stops. Scoring m columns folds the universe columns that are not
+gives every distinct pair of (group id, code) a dense id, by the one
+factorization ingest merges keys with (:func:`qi_sentry.table._factorize`).
+Folding columns in one at a time counts N(S) for any subset. A row
+alone in its group stays alone under any further column, so after each
+fold the groups of one row are dropped and only counted ("settled"):
+later folds read the rows left in shared groups, and once none is left
+the fold stops. A last fold whose groups are only counted drops
+nothing. Scoring m columns folds the universe columns that are not
 scored into one block, then finds all m counts N(U - {c}) with a
 halving recursion of about m log2 m folds. A node of that recursion
 whose key space (its shared group count times each of its columns'
@@ -48,7 +50,7 @@ import numpy as np
 
 from .classifier import ClassifiedTable
 from .errors import MetricUndefined
-from .table import _SORT_FREE_FACTOR, Table, densify
+from .table import _SORT_FREE_FACTOR, Table, _factorize
 
 # The groups of a subset, less those of one row: the rows still in a
 # shared group (None for every row), their group ids in [0, count), the
@@ -111,25 +113,21 @@ class RiskScore:
         return cls(column, uniqueness, influence, uniqueness + influence, counts)
 
 
-def _pair_ids(
-    a: np.ndarray, card_a: int, b: np.ndarray, card_b: int, n: int
-) -> tuple[np.ndarray, int]:
-    """Dense ids of the (a, b) pairs of ``n`` rows, and how many there are.
+def _pair_ids(a: np.ndarray, b: np.ndarray, card_b: int) -> tuple[np.ndarray, int]:
+    """Dense ids of the (a, b) pairs of rows, and how many there are.
 
-    ``a`` and ``b`` hold ids in [0, card_a) and [0, card_b), and neither
-    count exceeds the table's rows, so every pair key a * card_b + b
-    stays within int64 for any table below 2**31 rows. A key space of at
-    most ``_SORT_FREE_FACTOR * n`` is densified without a sort
-    (:func:`qi_sentry.table.densify`); a larger one goes through np.unique.
+    ``b`` holds ids in [0, card_b), and neither ``a``'s ids nor ``card_b``
+    exceeds the table's rows, so every pair key a * card_b + b stays
+    within int64 for any table below 2**31 rows. The keys go through
+    the one factorization of ingest and grouping
+    (:func:`qi_sentry.table._factorize`): with no sort while their span
+    holds at most ``_SORT_FREE_FACTOR`` values per row, and the ids are
+    their ``int32`` ranks either way.
     """
     keys = np.multiply(a, card_b, dtype=np.int64)
     keys += b
-    space = card_a * card_b
-    if space <= _SORT_FREE_FACTOR * n:
-        seen, ids = densify(keys, space)
-        return ids, int(np.count_nonzero(seen))
-    uniques, ids = np.unique(keys, return_inverse=True)
-    return ids, len(uniques)
+    distinct, ids = _factorize(keys)
+    return ids, len(distinct)
 
 
 def _codes(table: Table, position: int, rows: np.ndarray | None) -> np.ndarray:
@@ -160,6 +158,15 @@ def _settle(grouping: _Grouping) -> _Grouping:
     return rows, ids, count - dropped, settled + dropped
 
 
+def _pair(table: Table, grouping: _Grouping, position: int) -> _Grouping:
+    """The grouping refined by the column at ``position``, its groups of one row kept."""
+    rows, ids, count, settled = grouping
+    codes, card = _codes(table, position, rows), table.cardinality(position)
+    if ids is None:
+        return rows, codes, card, settled
+    return rows, *_pair_ids(ids, codes, card), settled
+
+
 def _fold(table: Table, grouping: _Grouping, positions: Iterable[int]) -> _Grouping:
     """The grouping refined by the columns at ``positions``, one at a time.
 
@@ -168,16 +175,22 @@ def _fold(table: Table, grouping: _Grouping, positions: Iterable[int]) -> _Group
     split one. The fold stops once no row is left.
     """
     for position in positions:
-        rows, ids, count, settled = grouping
-        if count == 0:
+        if grouping[2] == 0:
             break
-        codes, card = _codes(table, position, rows), table.cardinality(position)
-        if ids is None:
-            ids, count = codes, card
-        else:
-            ids, count = _pair_ids(ids, count, codes, card, len(ids))
-        grouping = _settle((rows, ids, count, settled))
+        grouping = _settle(_pair(table, grouping, position))
     return grouping
+
+
+def _folded_count(table: Table, grouping: _Grouping, positions: Sequence[int]) -> int:
+    """The class count of the grouping refined by the columns at ``positions``.
+
+    The last column's groups are only counted, so that fold drops
+    nothing: its groups of one row count the same, settled or not.
+    """
+    grouping = _fold(table, grouping, positions[:-1])
+    if positions and grouping[2]:
+        grouping = _pair(table, grouping, positions[-1])
+    return _class_count(grouping)
 
 
 def _occupancy_counts(
@@ -231,7 +244,7 @@ def _leave_one_out(
     if count == 0:
         return [settled] * len(positions), settled
     if len(positions) == 1:
-        full = _class_count(_fold(table, grouping, positions)) if with_full else None
+        full = _folded_count(table, grouping, positions) if with_full else None
         return [_class_count(grouping)], full
     n = table.row_count if rows is None else len(rows)
     space = count * math.prod(table.cardinality(p) for p in positions)
@@ -274,7 +287,7 @@ class GroupingEngine:
         if self._table.row_count == 0:
             raise MetricUndefined(f"table {self._table.name!r} has no rows")
         positions = sorted({self._table.position_of(c) for c in subset})
-        return _class_count(_fold(self._table, _ONE_GROUP, positions))
+        return _folded_count(self._table, _ONE_GROUP, positions)
 
 
 def uniqueness(table: Table, column: str) -> float:

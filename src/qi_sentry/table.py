@@ -35,10 +35,10 @@ and length are moved past its leading and trailing ASCII whitespace, so
 the keys are canonical. Each column of a block or chunk is factorized
 on zero-padded keys, ``uint64`` up to 8 bytes and above that ``S{w}``
 in width classes of powers of two, so no key is padded to more than
-twice its length: with ``np.unique``, or for ``uint64`` keys of a small
-span with :func:`densify`, no sort. At the end, one factorization per
-class merges a column's keys across blocks, and one take per block
-writes its codes. Equal values have equal lengths and so meet in one
+twice its length, by :func:`_factorize`: one argsort, or for ``uint64``
+keys of a small span no sort. At the end, one factorization per class
+merges a column's keys across blocks, and one take per block writes its
+codes. Equal values have equal lengths and so meet in one
 class. The empty key and the NA token become missing, and the table
 keeps the other merged keys undecoded. Values are ordered by class,
 then by key, with missing last.
@@ -108,7 +108,7 @@ _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype="<u8")
 # the same bound on its key space. Metrics count only the rows still in
 # a shared class, as single-row classes are dropped after each fold.
 # On 700k random rows (2-vCPU Xeon, numpy 2.4) marking took 24 ms at 4
-# values per key and np.unique 50 ms; the two meet near 8 per key.
+# values per key and a sort 50 ms; the two meet near 8 per key.
 _SORT_FREE_FACTOR = 4
 
 
@@ -120,7 +120,7 @@ def code_dtype(cardinality: int) -> np.dtype:
 def densify(keys: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
     """Which of 0 .. ``space`` - 1 occur in ``keys``, and each key's int32 rank among those.
 
-    As ``np.unique(keys, return_inverse=True)``, from a mark and a running count, unsorted.
+    From a mark and a running count, unsorted.
     """
     seen = np.zeros(space, dtype=bool)
     seen[keys] = True
@@ -130,14 +130,33 @@ def densify(keys: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _factorize(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(keys, return_inverse=True)``, without sorting uint64 keys of a small span."""
-    if keys.dtype == np.uint64:
+    """The sorted distinct ``keys``, and each key's ``int32`` rank among them.
+
+    The one factorization of ingest and grouping. Integer keys whose span
+    holds at most ``_SORT_FREE_FACTOR`` values per key are shifted in
+    place and ranked by :func:`densify`, with no sort; others by one
+    argsort and a running count of each run's first key.
+    """
+    if keys.dtype.kind in "iu":
         low = keys.min()
-        space = int(keys.max() - low) + 1
+        space = int(keys.max()) - int(low) + 1
         if space <= _SORT_FREE_FACTOR * len(keys):
-            seen, ids = densify((keys - low).view(np.int64), space)
-            return np.flatnonzero(seen).astype(np.uint64) + low, ids
-    return np.unique(keys, return_inverse=True)
+            keys -= low  # a new array of them would cost grouping's folds about a fifth
+            seen, ids = densify(keys.view(np.int64) if keys.dtype == np.uint64 else keys, space)
+            return np.flatnonzero(seen).astype(keys.dtype) + low, ids
+    order = keys.argsort()
+    ordered = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    first[1:] = ordered[1:] != ordered[:-1]
+    distinct = ordered[first]
+    del ordered
+    # ranked before ids is made: the cumsum holds a cast of first as large as ids
+    ranks = np.cumsum(first, dtype=np.int32)
+    ranks -= 1
+    ids = np.empty(len(keys), dtype=np.int32)
+    ids[order] = ranks
+    return distinct, ids
 
 
 def canonicalize(raw: CellValue) -> CellValue:
@@ -154,10 +173,10 @@ class IngestOptions:
     """Options for reading and writing delimited text, whose first record is the header.
 
     Raises :class:`IngestError` for a field of the wrong type, a
-    delimiter or ``na_token`` that UTF-8 cannot encode, a delimiter that
-    is not one character or is a quote or line break (no quoting writes
-    it so that it reads back), or an ``na_token`` with ASCII whitespace
-    at an edge, which no trimmed cell could match.
+    delimiter, ``na_token`` or ``table_name`` that UTF-8 cannot encode,
+    a delimiter that is not one character or is a quote or line break
+    (no quoting writes it so that it reads back), or an ``na_token``
+    with ASCII whitespace at an edge, which no trimmed cell could match.
     """
 
     delimiter: str = ","
@@ -176,7 +195,8 @@ class IngestOptions:
             )
         if self.na_token != self.na_token.strip(_ASCII_WS):
             raise IngestError(f"NA token cannot start or end with whitespace, got {self.na_token!r}")
-        for noun, text in (("delimiter", self.delimiter), ("NA token", self.na_token)):
+        for noun, text in [("delimiter", self.delimiter), ("NA token", self.na_token),
+                           ("table name", self.table_name)]:
             try:
                 _key(text)
             except UnicodeEncodeError:
@@ -536,32 +556,41 @@ class _Columns:
         return Table._from_keys(name, columns)
 
 
-def _merge(keys: list[np.ndarray], parts: list, rows: int, na: bytes) -> tuple[_Keys, np.ndarray]:
+def _merge(keys: list, parts: list, rows: int, na: bytes) -> tuple[_Keys, np.ndarray]:
     """A column's distinct keys and ``rows`` codes, from its blocks' keys and parts.
 
     Each part holds a block's offset into ``keys`` and its cells' indexes
     from there. Equal keys share a width class, so one factorization per
-    class merges them. The empty key and ``na`` are missing, coded last.
+    class (:func:`_factorize`) merges them; each block's keys are set to
+    None in ``keys`` once concatenated. The empty key and ``na`` are
+    missing, coded last.
     """
-    sizes = [len(k) for k in keys]
-    ids = np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1])
+    bounds = np.cumsum([0, *map(len, keys)])
     widths = [1 << (k.itemsize - 1).bit_length() for k in keys]
-    code_of = np.empty(sum(sizes), dtype=np.int32)
+    code_of = np.empty(bounds[-1], dtype=np.int32)
     values: list[np.ndarray] = []
     kept_so_far = 0
     for width in sorted(set(widths)):
         same = [i for i, w in enumerate(widths) if w == width]
-        distinct, inverse = _factorize(np.concatenate([keys[i] for i in same]))
+        merged = np.concatenate([keys[i] for i in same])
+        for i in same:
+            keys[i] = None
+        distinct, inverse = _factorize(merged)
+        del merged  # before the codes are built
         raw = distinct.view("S8") if distinct.dtype.kind == "u" else distinct
         kept = (raw != b"") & (raw != na)
-        code = np.where(kept, kept_so_far + np.cumsum(kept) - 1, -1)
-        code_of[np.concatenate([ids[i] for i in same])] = code[inverse]
+        code = np.where(kept, kept_so_far + np.cumsum(kept, dtype=np.int32) - 1, -1)
+        start = 0
+        for i in same:  # the class's keys are its blocks', in block order
+            block = code_of[bounds[i] : bounds[i + 1]]
+            code.take(inverse[start : start + len(block)], out=block, mode="clip")
+            start += len(block)
         if kept.any():
             values.append(raw[kept])
         kept_so_far += int(np.count_nonzero(kept))
     missing = code_of < 0
     code_of[missing] = kept_so_far
-    code_of = code_of.astype(code_dtype(kept_so_far + missing.any()))
+    code_of = code_of.astype(code_dtype(kept_so_far + missing.any()), copy=False)
     codes, start = np.empty(rows, dtype=code_of.dtype), 0
     for offset, local in parts:  # one take per block, straight into the codes
         start += len(local)

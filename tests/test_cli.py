@@ -851,6 +851,23 @@ def test_a_delimiter_or_na_token_that_utf8_cannot_encode_is_one_error_line_and_e
     assert set(workspace.iterdir()) == before
 
 
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_an_undecodable_byte_of_the_input_file_name_is_u_fffd_in_the_table_name(
+    workspace, capsys, fmt
+):
+    # the file is named with the byte 0xff, which Python's os layer escapes to "\udcff"
+    path = workspace / "\udcff\udcfex.csv"
+    path.write_text(DEMO_CSV)
+    code, out, err = run(capsys, "classify", "--input", str(path),
+                         "--rules", str(workspace / "rules.json"), "--format", fmt)
+    assert (code, err) == (0, "")
+    out.encode("utf-8")  # no lone surrogate
+    if fmt == "json":
+        assert json.loads(out)["table"] == "\ufffd\ufffdx"
+    else:
+        assert out.splitlines()[1].split("\t")[0] == "\ufffd\ufffdx"
+
+
 def test_generate_rules_out_keeps_every_hint_of_names_with_glob_characters(workspace, capsys):
     hints = {"a*": "SA", "a?": "DID", "ab": "QI", "[x]": "QI", "a,b": "QI", "x": "NSA"}
     spec = {"rows": 20, "columns": [

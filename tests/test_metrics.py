@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qi_sentry.table as table_module
 from qi_sentry import (
     ClassificationRules,
     ColumnClass,
@@ -33,7 +34,7 @@ from qi_sentry.oracle import (
     oracle_uniqueness,
 )
 
-from conftest import column_of, random_table
+from conftest import column_of, random_table, set_sort_free_factor
 
 
 def qi_rules(*names):
@@ -125,7 +126,7 @@ def test_class_count_empty_table():
 
 def test_class_count_compression_path_matches_oracle():
     # 10 near-distinct columns of a 300-row table: every pair key space
-    # is far above 4n, so each fold goes through np.unique, and the
+    # is far above 4n, so each fold goes through the sort, and the
     # rows are all told apart before the last column
     rng = random.Random(3001)
     rows = [[f"x{rng.randint(0, 299)}" for _ in range(10)] for _ in range(300)]
@@ -136,11 +137,9 @@ def test_class_count_compression_path_matches_oracle():
 
 
 def test_class_count_with_tiny_radix_budget_matches_oracle(monkeypatch):
-    # a zero sort-free budget sends every fold through np.unique, then
+    # a zero sort-free budget sends every fold through the sort, then
     # sweep random tables against the pairwise oracle
-    import qi_sentry.metrics as metrics
-
-    monkeypatch.setattr(metrics, "_SORT_FREE_FACTOR", 0)
+    set_sort_free_factor(monkeypatch, 0)
     rng = random.Random(66)
     for _ in range(50):
         table = random_table(rng, max_rows=16, max_cols=6)
@@ -361,9 +360,7 @@ def test_score_columns_ten_columns_matches_oracle(monkeypatch, sort_free_factor,
     # each has a row that differs from row 0 in that column alone, so
     # every influence is positive, and every row appears twice, so no
     # context ever saturates
-    import qi_sentry.metrics as metrics
-
-    monkeypatch.setattr(metrics, "_SORT_FREE_FACTOR", sort_free_factor)
+    set_sort_free_factor(monkeypatch, sort_free_factor)
     rng = random.Random(1010)
     names = [f"c{i}" for i in range(12)]
     distinct = [[rng.choice(["a", "b", "c", None]) for _ in names] for _ in range(12)]
@@ -429,9 +426,7 @@ def test_node_inside_the_recursion_scores_from_occupancy(monkeypatch, policy):
 def test_constant_and_all_missing_columns_score_as_the_oracle(monkeypatch, sort_free_factor, policy):
     # a column of one value, or of missing cells only, has cardinality 1:
     # its axis of the occupancy array has length one and splits nothing
-    import qi_sentry.metrics as metrics
-
-    monkeypatch.setattr(metrics, "_SORT_FREE_FACTOR", sort_free_factor)
+    set_sort_free_factor(monkeypatch, sort_free_factor)
     table = table_of_cardinalities([3, 2], 12, 23, extra=[["x"] * 12, [None] * 12, ["y"] * 12])
     assert table.cardinality(3) == 1
     qis = {"k0", "x0", "k1", "x1"}
@@ -464,7 +459,7 @@ def test_key_space_one_past_the_bound_recurses(monkeypatch):
     assert calls == [1]
 
 
-def test_pair_ids_branches_agree():
+def test_pair_ids_branches_agree(monkeypatch):
     import qi_sentry.metrics as metrics
 
     rng = np.random.default_rng(5)
@@ -473,11 +468,13 @@ def test_pair_ids_branches_agree():
         b = rng.integers(0, card_b, 300).astype(np.int32)
         # densify a: _pair_ids expects every id below card_a to occur
         _, a = np.unique(a, return_inverse=True)
-        card_a = int(a.max()) + 1
         _, b = np.unique(b, return_inverse=True)
         card_b = int(b.max()) + 1
-        free_ids, free_count = metrics._pair_ids(a, card_a, b, card_b, card_a * card_b)
-        sort_ids, sort_count = metrics._pair_ids(a, card_a, b, card_b, 0)
+        # a factor of card_b admits any span of pair keys over 300 rows; 0 admits none
+        monkeypatch.setattr(table_module, "_SORT_FREE_FACTOR", card_b)
+        free_ids, free_count = metrics._pair_ids(a, b, card_b)
+        monkeypatch.setattr(table_module, "_SORT_FREE_FACTOR", 0)
+        sort_ids, sort_count = metrics._pair_ids(a, b, card_b)
         assert free_count == sort_count == len(set(zip(a.tolist(), b.tolist())))
         assert np.array_equal(free_ids, sort_ids)
 

@@ -41,7 +41,7 @@ from qi_sentry.oracle import (
 )
 from qi_sentry.table import canonicalize, code_dtype
 
-from conftest import column_of
+from conftest import column_of, set_sort_free_factor
 
 CELLS = st.sampled_from(["a", "b", "c", None])
 GRADE_RANK = {UserGrade.LOW: 0, UserGrade.MIDDLE: 1, UserGrade.HIGH: 2}
@@ -98,7 +98,8 @@ def test_score_columns_matches_oracle(table, data, sort_free_factor):
     classified = classify(
         table, ClassificationRules(rules=tuple(Rule(n, ColumnClass.QI) for n in qis))
     )
-    with mock.patch.object(metrics, "_SORT_FREE_FACTOR", sort_free_factor):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        set_sort_free_factor(monkeypatch, sort_free_factor)
         for policy in UniversePolicy:
             universe = set(qis) if policy is UniversePolicy.PRIMARY_QIS_ONLY else set(names)
             expected = [
@@ -141,7 +142,8 @@ def test_scores_counts_and_class_counts_hold_as_rows_settle(table, data):
     scored = [c for c in names if c in qis]
     singles = {c: sum(k == 1 for k in Counter(table.column_values(c)).values()) for c in scored}
     for sort_free_factor in (0, 4):
-        with mock.patch.object(metrics, "_SORT_FREE_FACTOR", sort_free_factor):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            set_sort_free_factor(monkeypatch, sort_free_factor)
             for policy in UniversePolicy:
                 universe = set(qis) if policy is UniversePolicy.PRIMARY_QIS_ONLY else set(names)
                 full = oracle_equivalence_class_count(table, universe)
@@ -174,10 +176,10 @@ def test_a_fold_pairs_only_the_rows_left_in_shared_groups(table, data):
     seen = []
     real = metrics._pair_ids
 
-    def pair_ids(a, card_a, b, card_b, n):
-        assert len(a) == len(b) == n
-        seen.append(n)
-        return real(a, card_a, b, card_b, n)
+    def pair_ids(a, b, card_b):
+        assert len(a) == len(b)
+        seen.append(len(a))
+        return real(a, b, card_b)
 
     with mock.patch.object(metrics, "_pair_ids", pair_ids):
         count = equivalence_class_count(table, {"id", other})

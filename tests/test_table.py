@@ -1113,6 +1113,14 @@ def test_options_reject_a_delimiter_or_na_token_that_utf8_cannot_encode(field, n
     assert str(exc.value) == f"{noun} cannot be encoded in UTF-8, got {text!r}"
 
 
+@pytest.mark.parametrize("text", ["\udcff.csv", "t\ud800"])
+def test_options_reject_a_table_name_that_utf8_cannot_encode(text):
+    # every report names the table, and no UTF-8 report can hold a lone surrogate
+    with pytest.raises(IngestError) as exc:
+        IngestOptions(table_name=text)
+    assert str(exc.value) == f"table name cannot be encoded in UTF-8, got {text!r}"
+
+
 @pytest.mark.parametrize("na_token", ["", "N A", "\u00a0NA"])
 def test_an_na_token_without_edge_ascii_whitespace_matches_padded_cells(na_token):
     data = f"a\n {na_token} \nx\n".encode()
@@ -1231,11 +1239,78 @@ def test_factorize_sorts_only_keys_whose_span_exceeds_the_bound(monkeypatch):
         low = (1 << 63) + 5  # keys above 2**63 stay exact
         keys = np.array([low, low + space - 1] + [low + space // 2] * (n - 2), dtype=np.uint64)
         spaces.clear()
-        distinct, inverse = table_module._factorize(keys)
         expected, expected_inverse = np.unique(keys, return_inverse=True)
+        distinct, inverse = table_module._factorize(keys)  # may shift keys in place
         assert spaces == ([space] if sort_free else [])
         assert distinct.dtype == np.uint64 and np.array_equal(distinct, expected)
-        assert np.array_equal(inverse, expected_inverse)
+        assert inverse.dtype == np.int32 and np.array_equal(inverse, expected_inverse)
+
+
+def factorize_keys():
+    """Keys as ingest and grouping factorize them, repeated, of one to 60 elements.
+
+    ``uint64`` keys of a span within and far past the sort-free bound,
+    ``int64`` pair keys and ``S{w}`` keys.
+    """
+    def repeated(elements):
+        return st.lists(elements, min_size=1, max_size=20).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=60)
+        )
+
+    return st.one_of(
+        repeated(st.integers(1 << 63, (1 << 63) + 40)).map(lambda k: np.array(k, dtype=np.uint64)),
+        repeated(st.integers(0, (1 << 64) - 1)).map(lambda k: np.array(k, dtype=np.uint64)),
+        repeated(st.integers(0, (1 << 40) - 1)).map(lambda k: np.array(k, dtype=np.int64)),
+        repeated(st.binary(max_size=12).map(lambda b: b.replace(b"\0", b"x"))).map(
+            lambda k: np.array(k, dtype=f"S{max(1, *map(len, k))}")
+        ),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(factorize_keys(), st.sampled_from([0, table_module._SORT_FREE_FACTOR, 1 << 16]))
+def test_factorize_is_np_unique_with_an_int32_inverse(keys, factor):
+    expected, expected_inverse = np.unique(keys, return_inverse=True)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(table_module, "_SORT_FREE_FACTOR", factor)
+        distinct, inverse = table_module._factorize(keys)  # may shift keys in place
+    assert distinct.dtype == keys.dtype and distinct.tolist() == expected.tolist()
+    assert inverse.dtype == np.int32 and inverse.tolist() == expected_inverse.tolist()
+
+
+def test_an_id_column_ingests_within_64_bytes_a_row():
+    # 200k distinct 8-byte keys, in random order: every merge goes through the sort;
+    # the table itself holds 12 bytes a row (an int32 code, a uint64 key)
+    rows = 200_000
+    ids = list(range(10_000_000, 10_000_000 + rows))
+    random.Random(30).shuffle(ids)
+    data = b"id\n" + b"".join(b"%d\n" % i for i in ids)
+    tracemalloc.start()
+    try:
+        table = ingest_delimited(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.cardinality(0) == rows
+    assert peak < 64 * rows
+
+
+@pytest.mark.parametrize("block", [32, table_module._BLOCK_BYTES])
+def test_a_from_rows_column_of_two_width_classes_holds_ingests_keys_and_codes(monkeypatch, block):
+    # short keys (uint64) and 9- to 16-byte ones (S16) alternate across blocks,
+    # so the merge takes each class's codes block by block
+    cells = [["a"], ["x" * 9], [None], ["b"], ["y" * 16], ["a"], ["x" * 9], ["NA"], ["b" * 8]] * 5
+    table = Table.from_rows("t", ["c"], cells)
+    monkeypatch.setattr(table_module, "_BLOCK_BYTES", block)
+    ingested = ingest_delimited(table.to_delimited(IngestOptions(na_token="")).encode(),
+                               IngestOptions(na_token=""))
+    built, read = table.distinct[0], ingested.distinct[0]
+    assert [k.dtype for k in built.kept] == [np.dtype("S8"), np.dtype("S16")]
+    assert built.missing == read.missing
+    assert [(k.dtype, k.tolist()) for k in built.kept] == [(k.dtype, k.tolist()) for k in read.kept]
+    assert table.codes[0].dtype == ingested.codes[0].dtype
+    assert table.codes[0].tolist() == ingested.codes[0].tolist()
+    assert table.cells == ingested.cells
 
 
 FACTORIZE_CASES = {
