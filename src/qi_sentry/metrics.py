@@ -21,20 +21,21 @@ Grouping reads the integer codes the table stores for each column (see
 :mod:`qi_sentry.table`). Its one folding step is :func:`_pair_ids`: it
 gives every distinct pair of (group id, code) a dense id, by the one
 factorization ingest merges keys with (:func:`qi_sentry.table._factorize`).
-Folding columns in one at a time counts N(S) for any subset. A row
-alone in its group stays alone under any further column, so after each
-fold the groups of one row are dropped and only counted ("settled"):
+A row alone in its group stays alone under any further column, so after
+each fold the groups of one row are dropped and only counted ("settled"):
 later folds read the rows left in shared groups, and once none is left
-the fold stops. A last fold whose groups are only counted drops
-nothing. Scoring m columns folds the universe columns that are not
-scored into one block, then finds all m counts N(U - {c}) with a
-halving recursion of about m log2 m folds. A node of that recursion
-whose key space (its shared group count times each of its columns'
-cardinalities) is at most ``_SORT_FREE_FACTOR`` times its rows left,
-and below 2**31, folds nothing: it marks each row's mixed-radix
-``int32`` key in one occupancy array and reads every count off that
-array, one reduction over a column's axis per column, plus the settled
-groups.
+the fold stops. Every count comes through :func:`_counts`: it folds the
+columns not scored into one block, then finds N(S) and each N(S - {c})
+of m scored columns with a halving recursion of about m log2 m folds,
+whose last fold is only counted and drops nothing. ``score_columns``
+scores every primary QI, ``influence`` its one column, and
+``equivalence_class_count`` a subset's last column. A node of that
+recursion whose key space (its shared group count times each of its
+columns' cardinalities) is at most ``table._SORT_FREE_FACTOR`` times its
+rows left, and below 2**31, folds nothing: it marks each row's
+mixed-radix ``int32`` key in one occupancy array and reads every count
+off that array, one reduction over a column's axis per column, plus the
+settled groups.
 Uniqueness counts the codes with ``np.bincount``.
 """
 
@@ -48,9 +49,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import table as table_module
 from .classifier import ClassifiedTable
 from .errors import MetricUndefined
-from .table import _SORT_FREE_FACTOR, Table, _factorize
+from .table import Table, _factorize
 
 # The groups of a subset, less those of one row: the rows still in a
 # shared group (None for every row), their group ids in [0, count), the
@@ -181,18 +183,6 @@ def _fold(table: Table, grouping: _Grouping, positions: Iterable[int]) -> _Group
     return grouping
 
 
-def _folded_count(table: Table, grouping: _Grouping, positions: Sequence[int]) -> int:
-    """The class count of the grouping refined by the columns at ``positions``.
-
-    The last column's groups are only counted, so that fold drops
-    nothing: its groups of one row count the same, settled or not.
-    """
-    grouping = _fold(table, grouping, positions[:-1])
-    if positions and grouping[2]:
-        grouping = _pair(table, grouping, positions[-1])
-    return _class_count(grouping)
-
-
 def _occupancy_counts(
     table: Table, grouping: _Grouping, positions: Sequence[int], space: int
 ) -> tuple[list[int], int]:
@@ -230,25 +220,26 @@ def _leave_one_out(
 
     Also returns the count with every position folded in when
     ``with_full`` is set, else None. A grouping with no row left in a
-    shared group has every count at its settled groups. A node whose key
-    space, the shared group count times each position's cardinality, is
-    at most ``_SORT_FREE_FACTOR`` times its rows left and below 2**31
-    takes all its counts from one occupancy array
-    (:func:`_occupancy_counts`). A larger one splits ``positions`` into
-    halves, folds the right half into ``grouping`` and recurses on the
-    left, then the other way round: about m log2 m folds for m
-    positions, with O(log m) groupings alive at a time, each over the
-    rows its folds left.
+    shared group, or no position to add, has every count at its own
+    class count. One position's full count pairs it in and counts the
+    pairs, settling nothing. A node whose key space, the shared group count times each
+    position's cardinality, is at most ``table._SORT_FREE_FACTOR`` times
+    its rows left and below 2**31 takes all its counts from one
+    occupancy array (:func:`_occupancy_counts`). A larger one splits
+    ``positions`` into halves, folds the right half into ``grouping``
+    and recurses on the left, then the other way round: about m log2 m
+    folds for m positions, with O(log m) groupings alive at a time, each
+    over the rows its folds left.
     """
     rows, _, count, settled = grouping
-    if count == 0:
-        return [settled] * len(positions), settled
+    if count == 0 or not positions:
+        return [settled] * len(positions), _class_count(grouping)
     if len(positions) == 1:
-        full = _folded_count(table, grouping, positions) if with_full else None
+        full = _class_count(_pair(table, grouping, positions[0])) if with_full else None
         return [_class_count(grouping)], full
     n = table.row_count if rows is None else len(rows)
     space = count * math.prod(table.cardinality(p) for p in positions)
-    if space <= _SORT_FREE_FACTOR * n and space < 1 << 31:
+    if space <= table_module._SORT_FREE_FACTOR * n and space < 1 << 31:
         counts, full = _occupancy_counts(table, grouping, positions, space)
         return counts, full if with_full else None
     half = len(positions) // 2
@@ -256,6 +247,16 @@ def _leave_one_out(
     left_counts, full = _leave_one_out(table, _fold(table, grouping, right), left, with_full)
     right_counts, _ = _leave_one_out(table, _fold(table, grouping, left), right, False)
     return left_counts + right_counts, full
+
+
+def _counts(table: Table, rest: Iterable[int], scored: Sequence[int]) -> tuple[list[int], int]:
+    """N(S - {c}) for each position c in ``scored``, and N(S), for S = ``rest`` + ``scored``.
+
+    The one entry to counting: ``rest`` is folded first, into one grouping.
+    """
+    if table.row_count == 0:
+        raise MetricUndefined(f"table {table.name!r} has no rows")
+    return _leave_one_out(table, _fold(table, _ONE_GROUP, rest), scored, True)
 
 
 def _singles(table: Table, position: int) -> int:
@@ -266,28 +267,21 @@ def _singles(table: Table, position: int) -> int:
 class GroupingEngine:
     """Counts equivalence classes over column subsets of one table.
 
-    Works on the table's stored codes and keeps no state of its own, so
-    one engine may serve several threads at once.
+    Kept, with :meth:`prime` and ``score_columns(max_workers=)``, only
+    for the benchmark's traced replay of an older pipeline; everything
+    else calls :func:`equivalence_class_count`.
     """
 
     def __init__(self, table: Table):
         self._table = table
 
     def prime(self, columns: Iterable[str]) -> None:
-        """Check that ``columns`` exist; there is nothing left to prepare.
-
-        Kept for callers that prime an engine before counting, such as
-        the benchmark's traced run, which times this call as the
-        factorize step.
-        """
+        """Check that ``columns`` exist; there is nothing left to prepare."""
         for name in columns:
             self._table.position_of(name)
 
     def class_count(self, subset: Iterable[str]) -> int:
-        if self._table.row_count == 0:
-            raise MetricUndefined(f"table {self._table.name!r} has no rows")
-        positions = sorted({self._table.position_of(c) for c in subset})
-        return _folded_count(self._table, _ONE_GROUP, positions)
+        return equivalence_class_count(self._table, subset)
 
 
 def uniqueness(table: Table, column: str) -> float:
@@ -300,17 +294,17 @@ def uniqueness(table: Table, column: str) -> float:
 
 def equivalence_class_count(table: Table, subset: Iterable[str]) -> int:
     """Number of distinct row projections onto ``subset``; N(empty) is 1."""
-    return GroupingEngine(table).class_count(subset)
+    positions = sorted({table.position_of(c) for c in subset})
+    return _counts(table, positions[:-1], positions[-1:])[1]
 
 
 def influence(table: Table, column: str, universe: Iterable[str] | None = None) -> float:
     """1 - N(universe - {column}) / N(universe); universe defaults to all columns."""
-    names = set(universe) if universe is not None else set(table.column_names)
-    if column not in names:
+    position = table.position_of(column)
+    within = {table.position_of(c) for c in (table.column_names if universe is None else universe)}
+    if position not in within:
         raise ValueError(f"column {column!r} is not in the universe")
-    engine = GroupingEngine(table)
-    full = engine.class_count(names)
-    without = engine.class_count(names - {column})
+    (without,), full = _counts(table, sorted(within - {position}), [position])
     return 1 - without / full
 
 
@@ -336,7 +330,7 @@ def score_columns(
         rest = []
     else:
         rest = [p for p, m in enumerate(table.columns) if m.name not in classified.primary_qis]
-    withouts, full = _leave_one_out(table, _fold(table, _ONE_GROUP, rest), scored, True)
+    withouts, full = _counts(table, rest, scored)
     return [
         RiskScore.from_counts(
             table.columns[p].name,

@@ -47,11 +47,13 @@ def oracle_uniqueness(table: Table, column: str) -> float:
 
 def oracle_influence(table: Table, column: str, universe: Iterable[str] | None = None) -> float:
     """Relative drop in class count when ``column`` leaves the universe."""
-    names = set(universe) if universe is not None else set(table.column_names)
-    if column not in names:
+    position = table.position_of(column)
+    names = table.column_names if universe is None else list(universe)
+    if position not in {table.position_of(c) for c in names}:
         raise ValueError(f"column {column!r} is not in the universe")
     full = oracle_equivalence_class_count(table, names)
-    without = oracle_equivalence_class_count(table, names - {column})
+    rest = [c for c in names if table.position_of(c) != position]
+    without = oracle_equivalence_class_count(table, rest)
     return 1 - without / full
 
 

@@ -5,8 +5,6 @@ import random
 import numpy as np
 import pytest
 
-import qi_sentry.metrics as metrics_module
-import qi_sentry.table as table_module
 from qi_sentry import ClassificationRules, ColumnClass, Rule, Table
 from qi_sentry.table import canonicalize, code_dtype
 
@@ -32,15 +30,6 @@ def all_qi_rules() -> ClassificationRules:
     return ClassificationRules(
         rules=tuple(Rule(pattern=name.lower(), assign=ColumnClass.QI) for name in DEMO_COLUMNS)
     )
-
-
-def set_sort_free_factor(monkeypatch: pytest.MonkeyPatch, factor: int) -> None:
-    """Set ``_SORT_FREE_FACTOR`` for grouping's occupancy arrays and for the one factorization.
-
-    At 0 no node scores from an occupancy array and every fold sorts.
-    """
-    monkeypatch.setattr(metrics_module, "_SORT_FREE_FACTOR", factor)
-    monkeypatch.setattr(table_module, "_SORT_FREE_FACTOR", factor)
 
 
 def column_of(cardinality: int, missing: bool, rng: random.Random, repeats: int) -> list:

@@ -27,14 +27,13 @@ from qi_sentry import (
     secondary_qis,
     uniqueness,
 )
-from qi_sentry.metrics import GroupingEngine
 from qi_sentry.oracle import (
     oracle_equivalence_class_count,
     oracle_influence,
     oracle_uniqueness,
 )
 
-from conftest import column_of, random_table, set_sort_free_factor
+from conftest import column_of, random_table
 
 
 def qi_rules(*names):
@@ -131,21 +130,22 @@ def test_class_count_compression_path_matches_oracle():
     rng = random.Random(3001)
     rows = [[f"x{rng.randint(0, 299)}" for _ in range(10)] for _ in range(300)]
     table = Table.from_rows("wide", [f"c{i}" for i in range(10)], rows)
-    engine = GroupingEngine(table)
-    got = engine.class_count(table.column_names)
+    got = equivalence_class_count(table, table.column_names)
     assert got == oracle_equivalence_class_count(table, table.column_names)
 
 
 def test_class_count_with_tiny_radix_budget_matches_oracle(monkeypatch):
     # a zero sort-free budget sends every fold through the sort, then
-    # sweep random tables against the pairwise oracle
-    set_sort_free_factor(monkeypatch, 0)
+    # sweep random tables against the pairwise oracle; the empty subset
+    # must count 1 without reaching the recursion's halving split
+    monkeypatch.setattr(table_module, "_SORT_FREE_FACTOR", 0)
     rng = random.Random(66)
     for _ in range(50):
         table = random_table(rng, max_rows=16, max_cols=6)
-        engine = GroupingEngine(table)
-        for subset in ({table.column_names[0]}, set(table.column_names)):
-            assert engine.class_count(subset) == oracle_equivalence_class_count(table, subset)
+        for subset in (set(), {table.column_names[0]}, set(table.column_names)):
+            assert equivalence_class_count(table, subset) == oracle_equivalence_class_count(
+                table, subset
+            )
 
 
 # -- influence -------------------------------------------------------------
@@ -182,6 +182,37 @@ def test_influence_rand8x4_matches_frozen_oracle_values():
     assert [uniqueness(table, c) for c in table.column_names] == RAND8X4_UNIQUENESS
     # and the oracle agrees with itself on the frozen values
     assert [oracle_influence(table, c) for c in table.column_names] == RAND8X4_INFLUENCE
+
+
+@pytest.mark.parametrize("influence_of", [influence, oracle_influence])
+def test_influence_resolves_names_as_every_metric_does(influence_of):
+    # names compare case-insensitively, so "age" is Age, and {Age, age,
+    # Weight} is the universe {Age, Weight}: N = 3, and N({Weight}) = 2
+    table = Table.from_rows("t", ["Weight", "Age"], [["1", "2"], ["1", "3"], ["2", "3"]])
+    assert influence_of(table, "age") == influence_of(table, "Age") == 1 - 2 / 3
+    assert influence_of(table, "Age", {"Age", "age", "Weight"}) == 1 - 2 / 3
+    assert influence_of(table, "AGE", ["weight", "age"]) == 1 - 2 / 3
+    with pytest.raises(NoSuchColumn):
+        influence_of(table, "Height")
+    with pytest.raises(NoSuchColumn):
+        influence_of(table, "Age", {"Age", "Height"})
+    with pytest.raises(ValueError):
+        influence_of(table, "age", {"Weight"})
+
+
+def test_influence_folds_its_universe_once(monkeypatch):
+    # N(U) and N(U - {c}) come from one fold of U - {c} and one pairing
+    # with c: at most |U| pairings, where two folds of U take 2|U| - 1
+    import qi_sentry.metrics as metrics
+
+    table = table_of_cardinalities([3] * 5, 200, 47)
+    calls = []
+    real = metrics._pair
+    monkeypatch.setattr(metrics, "_pair", lambda *args: calls.append(1) or real(*args))
+    for name in table.column_names:
+        calls.clear()
+        assert influence(table, name) == oracle_influence(table, name)
+        assert 0 < len(calls) <= len(table.column_names)
 
 
 # -- scoring ----------------------------------------------------------------
@@ -314,7 +345,7 @@ def test_saturated_context_stops_folding(monkeypatch):
     assert calls == []
     assert scores == oracle_scores(table, qis, UniversePolicy.ALL_COLUMNS)
     assert {s.counts.without for s in scores} == {30}
-    assert GroupingEngine(table).class_count(table.column_names) == 30
+    assert equivalence_class_count(table, table.column_names) == 30
     assert calls == []
 
 
@@ -360,7 +391,7 @@ def test_score_columns_ten_columns_matches_oracle(monkeypatch, sort_free_factor,
     # each has a row that differs from row 0 in that column alone, so
     # every influence is positive, and every row appears twice, so no
     # context ever saturates
-    set_sort_free_factor(monkeypatch, sort_free_factor)
+    monkeypatch.setattr(table_module, "_SORT_FREE_FACTOR", sort_free_factor)
     rng = random.Random(1010)
     names = [f"c{i}" for i in range(12)]
     distinct = [[rng.choice(["a", "b", "c", None]) for _ in names] for _ in range(12)]
@@ -426,7 +457,7 @@ def test_node_inside_the_recursion_scores_from_occupancy(monkeypatch, policy):
 def test_constant_and_all_missing_columns_score_as_the_oracle(monkeypatch, sort_free_factor, policy):
     # a column of one value, or of missing cells only, has cardinality 1:
     # its axis of the occupancy array has length one and splits nothing
-    set_sort_free_factor(monkeypatch, sort_free_factor)
+    monkeypatch.setattr(table_module, "_SORT_FREE_FACTOR", sort_free_factor)
     table = table_of_cardinalities([3, 2], 12, 23, extra=[["x"] * 12, [None] * 12, ["y"] * 12])
     assert table.cardinality(3) == 1
     qis = {"k0", "x0", "k1", "x1"}
@@ -508,10 +539,12 @@ def test_key_space_of_2_to_the_31_recurses_whatever_the_factor(monkeypatch):
     # more than once stay shared, and the node over k0 and k1 fits
     import qi_sentry.metrics as metrics
 
-    monkeypatch.setattr(metrics, "_SORT_FREE_FACTOR", 10**9)
     table = table_of_cardinalities([128, 256], 300, 41)
     table = Table.from_rows("t", ["k0", "k1", "k2", "k3"],
                             [row + (row[1], row[1]) for row in zip(*table.cells)])
+    # set once the table is built: at this factor ingest would mark its
+    # keys' span of about 2**32 in one array
+    monkeypatch.setattr(table_module, "_SORT_FREE_FACTOR", 10**9)
     spaces = []
     real = metrics._occupancy_counts
 

@@ -73,8 +73,9 @@ def test_corrupted_class_count_is_caught(demo_table, monkeypatch):
 
 
 def test_corrupted_leave_one_out_is_caught_by_score_columns_check(demo_table, monkeypatch):
-    # the single-column helpers do not use the recursion, so only the
-    # check of score_columns can see this
+    # the single-column helpers take the recursion with one position,
+    # where reversing the counts changes nothing, so only the check of
+    # score_columns can see this
     import qi_sentry.metrics as metrics
 
     real = metrics._leave_one_out

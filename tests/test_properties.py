@@ -33,7 +33,8 @@ from qi_sentry import (
     uniqueness,
 )
 from qi_sentry import metrics
-from qi_sentry.metrics import GroupingEngine, ScoreCounts
+from qi_sentry import table as table_module
+from qi_sentry.metrics import ScoreCounts
 from qi_sentry.oracle import (
     oracle_equivalence_class_count,
     oracle_influence,
@@ -41,7 +42,7 @@ from qi_sentry.oracle import (
 )
 from qi_sentry.table import canonicalize, code_dtype
 
-from conftest import column_of, set_sort_free_factor
+from conftest import column_of
 
 CELLS = st.sampled_from(["a", "b", "c", None])
 GRADE_RANK = {UserGrade.LOW: 0, UserGrade.MIDDLE: 1, UserGrade.HIGH: 2}
@@ -99,7 +100,7 @@ def test_score_columns_matches_oracle(table, data, sort_free_factor):
         table, ClassificationRules(rules=tuple(Rule(n, ColumnClass.QI) for n in qis))
     )
     with pytest.MonkeyPatch.context() as monkeypatch:
-        set_sort_free_factor(monkeypatch, sort_free_factor)
+        monkeypatch.setattr(table_module, "_SORT_FREE_FACTOR", sort_free_factor)
         for policy in UniversePolicy:
             universe = set(qis) if policy is UniversePolicy.PRIMARY_QIS_ONLY else set(names)
             expected = [
@@ -143,7 +144,7 @@ def test_scores_counts_and_class_counts_hold_as_rows_settle(table, data):
     singles = {c: sum(k == 1 for k in Counter(table.column_values(c)).values()) for c in scored}
     for sort_free_factor in (0, 4):
         with pytest.MonkeyPatch.context() as monkeypatch:
-            set_sort_free_factor(monkeypatch, sort_free_factor)
+            monkeypatch.setattr(table_module, "_SORT_FREE_FACTOR", sort_free_factor)
             for policy in UniversePolicy:
                 universe = set(qis) if policy is UniversePolicy.PRIMARY_QIS_ONLY else set(names)
                 full = oracle_equivalence_class_count(table, universe)
@@ -220,9 +221,8 @@ def test_subset_monotonicity(table, data):
     names = list(table.column_names)
     b = set(data.draw(st.lists(st.sampled_from(names), unique=True)))
     a = set(data.draw(st.lists(st.sampled_from(sorted(b)), unique=True))) if b else set()
-    engine = GroupingEngine(table)
-    assert engine.class_count(a) <= engine.class_count(b)
-    assert 1 <= engine.class_count(b) <= max(table.row_count, 1)
+    assert equivalence_class_count(table, a) <= equivalence_class_count(table, b)
+    assert 1 <= equivalence_class_count(table, b) <= max(table.row_count, 1)
 
 
 @settings(max_examples=500, deadline=None)
@@ -236,8 +236,8 @@ def test_row_permutation_invariance(table, rnd):
         assert uniqueness(shuffled, name) == uniqueness(table, name)
         assert influence(shuffled, name) == influence(table, name)
     assert (
-        GroupingEngine(shuffled).class_count(table.column_names)
-        == GroupingEngine(table).class_count(table.column_names)
+        equivalence_class_count(shuffled, table.column_names)
+        == equivalence_class_count(table, table.column_names)
     )
 
 
@@ -264,8 +264,7 @@ def test_row_duplication_kills_uniqueness_preserves_influence(table):
 
 
 def assert_engine_matches_oracle(table: Table) -> None:
-    engine = GroupingEngine(table)
-    assert engine.class_count(table.column_names) == oracle_equivalence_class_count(
+    assert equivalence_class_count(table, table.column_names) == oracle_equivalence_class_count(
         table, table.column_names
     )
     for name in table.column_names:

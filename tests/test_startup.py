@@ -58,6 +58,16 @@ def test_package_import_loads_no_numpy_no_submodule_and_sets_nothing():
     assert out == ["['qi_sentry']", "False"]
 
 
+def test_oracle_import_loads_no_engine_module():
+    # the oracle is the reference the engine is checked against, so it
+    # must not share the engine's grouping or classification code
+    out = child(
+        "import sys, qi_sentry.oracle\n"
+        "print(sorted(m for m in sys.modules if m in ('qi_sentry.metrics', 'qi_sentry.classifier')))"
+    )
+    assert out == ["[]"]
+
+
 @pytest.mark.parametrize("name", SUBMODULES)
 def test_each_submodule_is_an_attribute_of_a_fresh_package(name):
     out = child(f"import sys, qi_sentry\nprint(qi_sentry.{name} is sys.modules['qi_sentry.{name}'])")
