@@ -30,15 +30,17 @@ checked for ragged rows first.
 Both parsers and :meth:`Table.from_rows` feed one merge of byte keys,
 in numpy calls only. The cells of a ``csv.reader`` chunk or of
 ``from_rows`` are joined into UTF-8 bytes, each ended by 0xff and with
-NUL written as 0xfe, neither of which UTF-8 holds. Each field's start
-and length are moved past its leading and trailing ASCII whitespace, so
-the keys are canonical. Each column of a block or chunk is factorized
-on zero-padded keys, ``uint64`` up to 8 bytes and above that ``S{w}``
-in width classes of powers of two, so no key is padded to more than
-twice its length, by :func:`_factorize`: one argsort, or for ``uint64``
-keys of a small span no sort. At the end, one factorization per class
-merges a column's keys across blocks, and one take per block writes its
-codes. Equal values have equal lengths and so meet in one
+NUL written as 0xfe, neither of which UTF-8 holds. A block or chunk
+keeps one array of a value per field, its separators' ``int32``
+positions. Each column's fields' starts and lengths are taken from them
+only as that column is keyed, and moved past their leading and
+trailing ASCII whitespace, so the keys are canonical. Each column is
+factorized on zero-padded keys, ``uint64`` up to 8 bytes and above that
+``S{w}`` in width classes of powers of two, so no key is padded to more
+than twice its length, by :func:`_factorize`: one argsort, or for
+``uint64`` keys of a small span no sort. At the end, one factorization
+per class merges a column's keys across blocks, and one take per block
+writes its codes. Equal values have equal lengths and so meet in one
 class. The empty key and the NA token become missing, and the table
 keeps the other merged keys undecoded. Values are ordered by class,
 then by key, with missing last.
@@ -85,11 +87,18 @@ _ASCII_WS = " \t\r\n\x0b\x0c"
 # (peak RSS 86, 57 MB) with 4096, and 1.6-2.2 and 2.6-3.0 s (171-186, 170-174 MB) with 65536.
 _CHUNK_RECORDS = 4096
 
-# Bytes read per block of ingest. On the same machine, an in-process select
-# of the 700k-row, 23 MB lowcard benchmark file (seed 9901) peaked at 49, 56
-# and 109 MB RSS with blocks of 512 KiB, 1 MiB and 4 MiB, in 0.49-0.55,
-# 0.49-0.55 and 0.58-0.63 s (three runs each).
+# Bytes read per block of ingest. On the same machine, select children on the seed-9901
+# benchmark files (10 alternating runs each) peaked at 48.5, 48.5 and 59.0 MB RSS on the
+# 700k-row lowcard file, and at 64.7, 62.6 and 63.0 MB on the 300k-row tall one, with
+# blocks of 512 KiB, 1 MiB and 2 MiB; median wall 0.51, 0.53 and 0.57 s, and 0.50, 0.51
+# and 0.54 s.
 _BLOCK_BYTES = 1 << 20
+
+# Bytes of a block's separator mask whose positions are found at a time, in int64 before
+# they are stored as int32. On the same machine, for one 1 MiB block of 11 two-byte
+# columns, steps of 16 KiB, 64 KiB and the whole block took 1.9, 1.6 and 1.6 ms and
+# peaked at 1.5, 1.75 and 4.3 MB traced.
+_SCAN_BYTES = 1 << 16
 
 # Bytes gathered per step of to_delimited, padding included. On the same machine,
 # 256 KiB to 1 MiB wrote a 300k x 12 and a 700k x 11 table in 0.12-0.18 and
@@ -520,32 +529,37 @@ class _Columns:
 
     def add_keys(self, data: bytes) -> None:
         """Add the records whose fields' keys ``data`` holds, row by row, each ended by 0xff."""
-        ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 0xFF)
-        lengths = np.diff(ends, prepend=-1) - 1
-        self.add_fields(*_split(data, ends, lengths, len(self.names), b"\xff"))
+        bounds = _bounds(np.frombuffer(data, dtype=np.uint8) == 0xFF)
+        self.add_fields(*_split(data, bounds, len(self.names), b"\xff"))
 
-    def add_fields(self, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> None:
-        """Add the records whose fields start at ``starts`` in ``buf`` (columns x records)."""
-        for keys, part, column_starts, column_lengths in zip(
-            self.keys, self.parts, starts, lengths
-        ):
+    def add_fields(self, buf: np.ndarray, bounds: np.ndarray, trim: bool) -> None:
+        """Add the records whose fields, row by row, lie between ``bounds`` in ``buf``.
+
+        Field k lies after ``bounds[k]`` and up to ``bounds[k + 1]`` (see
+        :func:`_split`). Each column's starts and lengths are taken, and
+        trimmed if ``trim``, only as that column is keyed.
+        """
+        width = len(self.names)
+        for j, (keys, part) in enumerate(zip(self.keys, self.parts)):
+            starts = bounds[j:-1:width] + 1
+            lengths = bounds[j + 1 :: width] - starts
+            if trim:
+                _trim(buf, starts, lengths)
             # keys in width classes, uint64 up to 8 bytes and then powers of two, so none is
             # padded to over twice its bytes; often a column's fields all fall in one
-            shortest, longest = max(8, int(column_lengths.min())), int(column_lengths.max())
+            shortest, longest = max(8, int(lengths.min())), int(lengths.max())
             classes = [slice(None)]
             if (shortest - 1).bit_length() < (longest - 1).bit_length():
-                exponents = np.frexp(np.maximum(column_lengths, 8) - 1)[1]
+                exponents = np.frexp(np.maximum(lengths, 8) - 1)[1]
                 classes = [exponents == e for e in np.flatnonzero(np.bincount(exponents))]
             offset = sum(map(len, keys))
-            local = np.empty(len(column_starts), dtype=np.int32)
+            local = np.empty(len(starts), dtype=np.int32)
             for rows in classes:
-                distinct, inverse = _factorize(
-                    _field_keys(buf, column_starts[rows], column_lengths[rows])
-                )
+                distinct, inverse = _factorize(_field_keys(buf, starts[rows], lengths[rows]))
                 local[rows] = inverse + (sum(map(len, keys)) - offset)
                 keys.append(distinct)
             part.append((offset, local.astype(code_dtype(sum(map(len, keys)) - offset))))
-        self.rows += starts.shape[1]
+        self.rows += (len(bounds) - 1) // width
 
     def table(self, name: str, na: bytes) -> Table:
         """The table ``name`` of the keys added, with ``na`` and the empty key as missing."""
@@ -616,15 +630,18 @@ def _blocks(stream: IO[bytes]) -> Iterator[bytes]:
 
 def _tokenize(
     block: bytes, delimiter: int, width: int | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray, bool] | None:
     """Split a block into fields with numpy, or None if csv.reader must parse it.
 
-    Returns the block's bytes (zero-padded at the end) and the start and
-    length of every field, both shaped (width, records). ``width`` is the
-    number of columns, or None to take it from the first line. Returns
-    None when the block holds a quote, CR or NUL byte or invalid UTF-8,
-    when a line has a different number of fields (a blank line included),
-    or when a field is longer than the csv field limit.
+    Returns what :meth:`_Columns.add_fields` takes (see :func:`_split`),
+    the header's fields included: the block's bytes, zero-padded, and
+    its separators' ``int32`` positions after a leading -1, its only
+    array of a value per field. ``width`` is the number of columns,
+    or None to take it from the first line. Returns None when the block
+    holds a quote, CR or NUL byte or invalid UTF-8, when a line has a
+    different number of fields (a blank line included), or when a field
+    is longer than the csv field limit, which is checked on each line's
+    length first and on the fields' only where a line is longer.
     """
     if b'"' in block or b"\r" in block or b"\0" in block:
         return None
@@ -636,38 +653,64 @@ def _tokenize(
     if not block.endswith(b"\n"):
         block += b"\n"  # the last line of an input without a final newline
     data = np.frombuffer(block, dtype=np.uint8)
-    seps = np.flatnonzero((data == delimiter) | (data == 10)).astype(np.int32)
-    ends = data[seps] == 10
+    mask = data == delimiter
+    mask |= data == 10
+    bounds = _bounds(mask)
+    del mask
+    ends = data[bounds[1:]] == 10
     if width is None:
         width = int(ends.argmax()) + 1
-    if len(seps) % width:
+    if len(ends) % width:
         return None
     ends = ends.reshape(-1, width)
     if not ends[:, -1].all() or ends[:, :-1].any():
         return None
-    lengths = np.diff(seps, prepend=np.int32(-1)) - 1
-    if lengths.max() > csv.field_size_limit() or (width == 1 and not lengths.all()):
+    del ends
+    lines, limit = _record_bytes(bounds, width), csv.field_size_limit()
+    if width == 1 and not lines.all():  # a blank line
         return None
-    return _split(block, seps, lengths, width, b"\n" + bytes([delimiter]))
+    if lines.max() > limit and (np.diff(bounds) - 1).max() > limit:
+        return None
+    return _split(block, bounds, width, b"\n" + bytes([delimiter]))
+
+
+def _bounds(mask: np.ndarray) -> np.ndarray:
+    """-1, then the position of every separator that ``mask`` marks: int32 below 2 GiB.
+
+    Taken ``_SCAN_BYTES`` of the mask at a time, so no ``int64``
+    position array covers the whole of it.
+    """
+    dtype = np.int32 if len(mask) < 1 << 31 else np.int64  # from_rows may join more
+    bounds = np.empty(np.count_nonzero(mask) + 1, dtype=dtype)
+    bounds[0], at = -1, 1
+    for lo in range(0, len(mask), _SCAN_BYTES):
+        found = np.flatnonzero(mask[lo : lo + _SCAN_BYTES])
+        np.add(found, lo, out=bounds[at : at + len(found)], casting="unsafe")
+        at += len(found)
+    return bounds
+
+
+def _record_bytes(bounds: np.ndarray, width: int) -> np.ndarray:
+    """Each record's bytes, its inner separators included: no field of it is longer."""
+    return bounds[width::width] - bounds[:-1:width] - 1
 
 
 def _split(
-    data: bytes, ends: np.ndarray, lengths: np.ndarray, width: int, separators: bytes
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``data`` zero-padded at the end, and the start and length of its fields, trimmed.
+    data: bytes, bounds: np.ndarray, width: int, separators: bytes
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """What :meth:`_Columns.add_fields` takes: ``data`` zero-padded at the end, ``bounds``, trim.
 
-    The fields are ``lengths`` long and end at ``ends``, where one of
-    ``separators`` is. Starts and lengths are shaped (width, records).
+    Field k of ``data``, row by row, lies after ``bounds[k]`` and ends
+    at ``bounds[k + 1]``, where one of ``separators`` is; ``width``
+    fields make a record. The padding holds the longest record, so a key
+    read from any field's start stays in the buffer. Trim is whether
+    ``data`` holds ASCII whitespace that is not a separator.
     """
-    starts = ends - lengths
-    buf = np.zeros(len(data) + max(8, int(lengths.max())), dtype=np.uint8)
+    buf = np.zeros(len(data) + max(8, int(_record_bytes(bounds, width).max())), dtype=np.uint8)
     buf[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-    # one contiguous row per column, for the per-column gathers
-    starts, lengths = starts.reshape(-1, width).T.copy(), lengths.reshape(-1, width).T.copy()
     # a scan per whitespace byte costs far less than _trim's gather per field
-    if any(byte in data for byte in _ASCII_WS.encode() if byte not in separators):
-        _trim(buf, starts.reshape(-1), lengths.reshape(-1))
-    return buf, starts, lengths
+    trim = any(byte in data for byte in _ASCII_WS.encode() if byte not in separators)
+    return buf, bounds, trim
 
 
 def _trim(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> None:
@@ -710,7 +753,7 @@ def _field_keys(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.
     if width <= 8:
         # element i holds the 8 bytes from buf[i] on, little-endian, so keys keep byte order
         eights = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
-        return eights[starts] & _LOW_BYTES[lengths]
+        return eights[starts] & _LOW_BYTES.take(lengths)
     keys = sliding_window_view(buf, width)[starts]
     keys[np.arange(width) >= lengths[:, None]] = 0
     return keys.view(f"S{width}").ravel()
@@ -749,13 +792,13 @@ def ingest_delimited(source: bytes | IO[bytes], options: IngestOptions | None = 
             fields = _tokenize(block, ord(opts.delimiter), width)
             if fields is None:
                 break
-            buf, starts, lengths = fields
+            buf, bounds, trim = fields
             if columns is None:
                 header = block.partition(b"\n")[0].decode("utf-8").split(opts.delimiter)
                 columns = _Columns(_header_names(header))
-                starts, lengths = starts[:, 1:], lengths[:, 1:]
-            if starts.shape[1]:
-                columns.add_fields(buf, starts, lengths)
+                bounds = bounds[len(columns.names) :]
+            if len(bounds) > 1:
+                columns.add_fields(buf, bounds, trim)
             offset += len(block)
         else:
             return columns.table(opts.table_name, _key(opts.na_token))

@@ -639,6 +639,41 @@ def test_long_field_among_many_records_stays_on_the_numpy_path(tokenized):
     assert peak < 4 << 20
 
 
+def test_a_line_over_the_field_limit_whose_fields_are_under_it_stays_on_the_numpy_path(
+    tokenized,
+):
+    # the limit is checked on line lengths first and on field lengths only past it;
+    # csv.reader takes a field of exactly the limit, as numpy does
+    limit = csv.field_size_limit()
+    data = (b"a,b,c\n1,2,3\n" + b",".join([b"x" * (limit // 2 + 1)] * 3) + b"\n"
+            + b"y" * limit + b", " + b"z" * (limit - 2) + b" ,w\n4,5,6\n")
+    assert_matches_reference(data, IngestOptions(table_name="t"))
+    assert tokenized == [True]
+
+
+def test_a_block_is_split_and_keyed_in_a_working_set_of_about_four_bytes_a_field():
+    # one 1 MiB block of 11 two-byte columns, as in the lowcard benchmark: 349,525 fields.
+    # Their int32 separator positions (1.4 MB) are the block's one per-field array, and a
+    # column's starts and lengths are made only as it is keyed
+    rng = np.random.default_rng(11)
+    lines = (1 << 20) // 33
+    cells = np.empty((lines, 11, 3), dtype=np.uint8)
+    cells[..., 0] = ord("a") + np.arange(11, dtype=np.uint8)
+    cells[..., 1] = ord("0") + rng.integers(0, 6, (lines, 11), dtype=np.uint8)
+    cells[..., 2] = ord(",")
+    cells[:, -1, 2] = ord("\n")
+    block = cells.tobytes()
+    columns = table_module._Columns([f"c{j}" for j in range(11)])
+    tracemalloc.start()
+    try:
+        columns.add_fields(*table_module._tokenize(block, ord(","), 11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert columns.rows == lines
+    assert peak < 5 << 20
+
+
 @pytest.mark.parametrize("block", [1 << 20, 8])
 def test_padded_spellings_merge_into_one_value_on_the_numpy_path(monkeypatch, tokenized, block):
     monkeypatch.setattr(table_module, "_BLOCK_BYTES", block)
