@@ -15,10 +15,12 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import re
 import stat
 import sys
+from decimal import Decimal
 from pathlib import Path
 from typing import Sequence
 
@@ -80,6 +82,25 @@ def _load_rules(args) -> classifier.ClassificationRules:
     if path:
         return classifier.load_rules(path)
     return classifier.default_rules()
+
+
+def _threshold(text: str | None) -> float | None:
+    """The ``--threshold`` text as a float, once the decimal it writes is checked to lie in [0, 2].
+
+    The float of a decimal just outside the range can round onto an end
+    of it, so the check reads the decimal itself, as a ``Decimal``: a
+    ``Fraction`` would expand an exponent such as ``1e-999999999``.
+    Text that is no number is outside the range too.
+    """
+    if text is None:
+        return None
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and 0 <= Decimal(text) <= 2):
+        raise ValueError(f"threshold must be in [0, 2], got {text}")
+    return value
 
 
 def _num(value: float | None) -> str:
@@ -183,7 +204,7 @@ def cmd_select(args) -> int:
         classified,
         scores,
         requestor,
-        threshold_override=args.threshold,
+        threshold_override=_threshold(args.threshold),
         timestamp=not args.no_timestamp,
     )
     entries = [
@@ -301,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assessment", required=True, help="assessment form JSON")
     add_format(p)
     add_universe(p)
-    p.add_argument("--threshold", type=float,
+    p.add_argument("--threshold",
                    help="manual threshold override in [0, 2]; the report records both")
     p.add_argument("--no-timestamp", action="store_true",
                    help="omit generated_at (for byte-identical reports)")

@@ -36,7 +36,10 @@ rows left, and below 2**31, folds nothing: it marks each row's
 mixed-radix ``int32`` key in one occupancy array and reads every count
 off that array, one reduction over a column's axis per column, plus the
 settled groups.
-Uniqueness counts the codes with ``np.bincount``.
+Uniqueness, and each settle, counts its codes or ids with ``np.add.at``
+(:func:`_tally`), and the occupancy array marks the keys of
+``_STEP_ROWS`` (65,536) rows at a time, so no count copies a whole
+column to an 8-byte ``intp`` index.
 """
 
 from __future__ import annotations
@@ -60,6 +63,10 @@ from .table import Table, _factorize
 # "settled". No columns put every row in one group, which needs no ids.
 _Grouping = tuple[np.ndarray | None, np.ndarray | None, int, int]
 _ONE_GROUP: _Grouping = (None, None, 1, 0)
+
+# Rows whose keys the occupancy array marks at a time: numpy casts each step's int32 keys
+# to an 8-byte intp index, not a whole table's.
+_STEP_ROWS = 1 << 16
 
 
 class UniversePolicy(str, Enum):
@@ -132,10 +139,15 @@ def _pair_ids(a: np.ndarray, b: np.ndarray, card_b: int) -> tuple[np.ndarray, in
     return ids, len(distinct)
 
 
-def _codes(table: Table, position: int, rows: np.ndarray | None) -> np.ndarray:
-    """The column's codes at ``rows``, or at every row for None."""
-    codes = table.codes[position]
-    return codes if rows is None else codes[rows]
+def _tally(ids: np.ndarray, count: int) -> np.ndarray:
+    """How many times each of 0 .. ``count`` - 1 occurs in ``ids``.
+
+    By ``np.add.at``, which reads ``ids`` as they are, where
+    ``np.bincount`` would first copy them to an 8-byte ``intp`` array.
+    """
+    counts = np.zeros(count, dtype=np.intp)
+    np.add.at(counts, ids, 1)
+    return counts
 
 
 def _class_count(grouping: _Grouping) -> int:
@@ -150,7 +162,7 @@ def _settle(grouping: _Grouping) -> _Grouping:
     A function of its own, so its temporaries are freed before the next fold.
     """
     rows, ids, count, settled = grouping
-    shared = np.bincount(ids, minlength=count) > 1
+    shared = _tally(ids, count) > 1
     dropped = count - int(np.count_nonzero(shared))
     if dropped:
         keep = shared[ids]
@@ -163,7 +175,9 @@ def _settle(grouping: _Grouping) -> _Grouping:
 def _pair(table: Table, grouping: _Grouping, position: int) -> _Grouping:
     """The grouping refined by the column at ``position``, its groups of one row kept."""
     rows, ids, count, settled = grouping
-    codes, card = _codes(table, position, rows), table.cardinality(position)
+    codes, card = table.codes[position], table.cardinality(position)
+    if rows is not None:
+        codes = codes[rows]
     if ids is None:
         return rows, codes, card, settled
     return rows, *_pair_ids(ids, codes, card), settled
@@ -194,16 +208,21 @@ def _occupancy_counts(
     (before, card, after), the groups without a position are the
     (before, after) cells with any key set. Every count adds the
     grouping's settled groups, which no position splits. ``space`` is
-    below 2**31, so the keys are ``int32``.
+    below 2**31, so the keys are ``int32``; they are built and marked
+    ``_STEP_ROWS`` rows at a time.
     """
     rows, ids, count, settled = grouping
-    keys = np.zeros(table.row_count, dtype=np.int32) if ids is None else ids.astype(np.int32)
     cards = [table.cardinality(p) for p in positions]
-    for position, card in zip(positions, cards):
-        keys *= card
-        keys += _codes(table, position, rows)
+    n = table.row_count if rows is None else len(rows)
     seen = np.zeros(space, dtype=bool)
-    seen[keys] = True
+    for lo in range(0, n, _STEP_ROWS):
+        size = min(_STEP_ROWS, n - lo)
+        at = slice(lo, lo + size) if rows is None else rows[lo : lo + size]
+        keys = np.zeros(size, np.int32) if ids is None else ids[lo : lo + size].astype(np.int32)
+        for position, card in zip(positions, cards):
+            keys *= card
+            keys += table.codes[position][at]
+        seen[keys] = True
     counts, before, after = [], count, space // count
     for card in cards:
         after //= card
@@ -261,7 +280,8 @@ def _counts(table: Table, rest: Iterable[int], scored: Sequence[int]) -> tuple[l
 
 def _singles(table: Table, position: int) -> int:
     """Number of the column's values that occur exactly once."""
-    return int(np.count_nonzero(np.bincount(table.codes[position]) == 1))
+    counts = _tally(table.codes[position], table.cardinality(position))
+    return int(np.count_nonzero(counts == 1))
 
 
 class GroupingEngine:

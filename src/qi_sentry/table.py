@@ -17,15 +17,15 @@ It decodes each column's keys to strings once, on the first read of
 ``values``, ``cells`` or ``==``, and ``cells`` decodes the codes too.
 
 Ingest reads the bytes in blocks of about 1 MiB, each cut after its
-last newline. A block with no quote, CR or NUL byte, a one-byte ASCII
-delimiter, the same number of fields on every line, no field over the
-csv field limit and valid UTF-8 is tokenized with numpy. The first
-block that breaks any of these rules, and everything after it, is
-decoded block by block and read as lines by ``csv.reader``, which is
-the only parser that reads quoted fields or CR line endings and the one
-place that reports malformed records. Faults are reported in record
-order: the records read before a malformed record or invalid UTF-8 are
-checked for ragged rows first.
+last newline, and holds one block at a time. A block with no quote, CR
+or NUL byte, a one-byte ASCII delimiter, the same number of fields on
+every line, no field over the csv field limit and valid UTF-8 is
+tokenized with numpy. The first block that breaks any of these rules,
+and everything after it, is decoded block by block and read as lines
+by ``csv.reader``, which is the only parser that reads quoted fields or
+CR line endings and the one place that reports malformed records.
+Faults are reported in record order: the records read before a
+malformed record or invalid UTF-8 are checked for ragged rows first.
 
 Both parsers and :meth:`Table.from_rows` feed one merge of byte keys,
 in numpy calls only. The cells of a ``csv.reader`` chunk or of
@@ -88,10 +88,10 @@ _ASCII_WS = " \t\r\n\x0b\x0c"
 _CHUNK_RECORDS = 4096
 
 # Bytes read per block of ingest. On the same machine, select children on the seed-9901
-# benchmark files (10 alternating runs each) peaked at 48.5, 48.5 and 59.0 MB RSS on the
-# 700k-row lowcard file, and at 64.7, 62.6 and 63.0 MB on the 300k-row tall one, with
-# blocks of 512 KiB, 1 MiB and 2 MiB; median wall 0.51, 0.53 and 0.57 s, and 0.50, 0.51
-# and 0.54 s.
+# benchmark files (10 alternating runs each) peaked at 46.8, 46.6 and 50.5 MB RSS on the
+# 700k-row lowcard file, and at 64.3, 61.2 and 60.3 MB on the 300k-row tall one, with
+# blocks of 512 KiB, 1 MiB and 2 MiB; median wall 0.44, 0.42 and 0.41 s, and 0.44, 0.43
+# and 0.42 s.
 _BLOCK_BYTES = 1 << 20
 
 # Bytes of a block's separator mask whose positions are found at a time, in int64 before
@@ -615,15 +615,19 @@ def _merge(keys: list, parts: list, rows: int, na: bytes) -> tuple[_Keys, np.nda
 def _blocks(stream: IO[bytes]) -> Iterator[bytes]:
     """The stream in blocks of about ``_BLOCK_BYTES``, each cut after its last newline.
 
-    Only the last block may lack a final newline.
+    Only the last block may lack a final newline. Each read is dropped
+    before its block is yielded, and nothing here holds a block while
+    the caller uses it, so one block is alive at a time.
     """
     pending: list[bytes] = []
     while data := stream.read(_BLOCK_BYTES):
         cut = data.rfind(b"\n") + 1
         if cut:
-            yield b"".join([*pending, data[:cut]])
-            pending = []
-        pending.append(data[cut:])
+            pending = [b"".join([*pending, data[:cut]]), data[cut:]]
+            del data
+            yield pending.pop(0)  # pending keeps only the tail past the yield
+        else:
+            pending.append(data)
     if tail := b"".join(pending):
         yield tail
 
@@ -784,6 +788,7 @@ def ingest_delimited(source: bytes | IO[bytes], options: IngestOptions | None = 
     head = next(blocks, b"")
     offset = len(_BOM) if head.startswith(_BOM) else 0  # in the input, of the next block
     blocks = chain([head[offset:]], blocks)
+    del head  # the chain holds the first block only until the loop takes it
     columns: _Columns | None = None
     block = b""
     if opts.delimiter.isascii():
@@ -797,9 +802,11 @@ def ingest_delimited(source: bytes | IO[bytes], options: IngestOptions | None = 
                 header = block.partition(b"\n")[0].decode("utf-8").split(opts.delimiter)
                 columns = _Columns(_header_names(header))
                 bounds = bounds[len(columns.names) :]
+            offset += len(block)
+            del block, fields  # buf holds a copy of the block's bytes
             if len(bounds) > 1:
                 columns.add_fields(buf, bounds, trim)
-            offset += len(block)
+            del buf, bounds  # before the next block is read and split
         else:
             return columns.table(opts.table_name, _key(opts.na_token))
 

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
+from typing import Callable, TypeVar
 
 import numpy as np
 import pytest
 
 from qi_sentry import ClassificationRules, ColumnClass, Rule, Table
 from qi_sentry.table import canonicalize, code_dtype
+
+T = TypeVar("T")
 
 # The 5-row worked example: two columns with equal uniqueness but
 # different influence, two columns with neither.
@@ -69,3 +73,13 @@ def twin_of(table: Table) -> Table:
         assert np.bincount(codes, minlength=len(values)).all()
         assert codes.dtype == code_dtype(len(values))
     return Table.from_rows(table.name, table.column_names, zip(*table.cells))
+
+
+def traced_peak(fn: Callable[[], T]) -> tuple[T, int]:
+    """``fn()``, and the peak of the bytes tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

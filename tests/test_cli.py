@@ -511,6 +511,28 @@ def test_select_out_of_range_override_exits_2(workspace, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("text", [
+    # the floats of these round onto 2.0 and -0.0, inside the range; their decimals lie outside
+    "2.0000000000000001", "-1e-400", "-1e-999999999",
+    "3.0", "nan", "inf", "1e400", "abc",
+])
+def test_select_threshold_is_range_checked_as_the_decimal_it_writes(workspace, capsys, text):
+    code, out, err = run(capsys, *select_args(workspace, "high.json", f"--threshold={text}"))
+    assert (code, out) == (2, "")
+    assert err == f"error: threshold must be in [0, 2], got {text}\n"
+
+
+def test_select_threshold_inside_the_range_runs_at_its_float(workspace, capsys):
+    # a decimal just above 0 reads as the float 0.0, and the report is the one 0 gives
+    reports = [
+        run(capsys, *select_args(workspace, "high.json", f"--threshold={text}", "--no-timestamp",
+                                 "--format", "json"))
+        for text in ["0", "1e-400", "1e-999999999", "0e5"]
+    ]
+    assert reports[0][0] == 0
+    assert reports[1:] == reports[:1] * 3
+
+
 def test_select_text_golden(workspace, capsys):
     code, out, _ = run(capsys, *select_args(workspace, "high.json", "--no-timestamp"))
     assert code == 0

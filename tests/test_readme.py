@@ -12,7 +12,7 @@ import json
 import re
 from pathlib import Path
 
-from qi_sentry import table
+from qi_sentry import metrics, table
 from qi_sentry.assessment import parse_form
 from qi_sentry.classifier import parse_rules, rules_to_doc
 from qi_sentry.generate import generate_table, parse_spec, rules_for_spec
@@ -56,3 +56,9 @@ def test_readme_states_the_block_chunk_and_write_sizes_the_code_sets():
         "chunks": [str(table._CHUNK_RECORDS)],
         "writes": [str(table._WRITE_BYTES >> 20)],
     }
+
+
+def test_readme_states_the_step_the_occupancy_array_is_marked_in():
+    text = " ".join(README.split())
+    stated = re.findall(r"marks the keys of ([\d,]+) rows at a time", text)
+    assert stated == [f"{metrics._STEP_ROWS:,}"]

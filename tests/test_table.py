@@ -24,7 +24,7 @@ from qi_sentry.generate import (
 )
 from qi_sentry.table import _Keys, canonicalize, code_dtype
 
-from conftest import column_of, twin_of
+from conftest import column_of, traced_peak, twin_of
 
 DEMO_CSV = b"""Weight,Age,Gender,Zipcode
 72,45,M,75145
@@ -628,12 +628,7 @@ def test_long_field_among_many_records_stays_on_the_numpy_path(tokenized):
     # numpy splits the block; padding all 101 keys to the 100,000-byte field would take
     # 10 MB, but width classes pad each key to at most twice its own length
     data = b"v\n" + b"x" * 100_000 + b"\n" + b"a\n" * 100
-    tracemalloc.start()
-    try:
-        table = ingest_delimited(data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    table, peak = traced_peak(lambda: ingest_delimited(data))
     assert tokenized == [True]
     assert table.column_values("v") == ("x" * 100_000,) + ("a",) * 100
     assert peak < 4 << 20
@@ -651,27 +646,49 @@ def test_a_line_over_the_field_limit_whose_fields_are_under_it_stays_on_the_nump
     assert tokenized == [True]
 
 
-def test_a_block_is_split_and_keyed_in_a_working_set_of_about_four_bytes_a_field():
-    # one 1 MiB block of 11 two-byte columns, as in the lowcard benchmark: 349,525 fields.
-    # Their int32 separator positions (1.4 MB) are the block's one per-field array, and a
-    # column's starts and lengths are made only as it is keyed
-    rng = np.random.default_rng(11)
-    lines = (1 << 20) // 33
+def lowcard_lines(size: int, seed: int) -> bytes:
+    """About ``size`` bytes of lines of 11 two-byte fields, as in the lowcard benchmark."""
+    rng = np.random.default_rng(seed)
+    lines = size // 33
     cells = np.empty((lines, 11, 3), dtype=np.uint8)
     cells[..., 0] = ord("a") + np.arange(11, dtype=np.uint8)
     cells[..., 1] = ord("0") + rng.integers(0, 6, (lines, 11), dtype=np.uint8)
     cells[..., 2] = ord(",")
     cells[:, -1, 2] = ord("\n")
-    block = cells.tobytes()
+    return cells.tobytes()
+
+
+def test_a_block_is_split_and_keyed_in_a_working_set_of_about_four_bytes_a_field():
+    # one 1 MiB block of 11 two-byte columns, as in the lowcard benchmark: 349,525 fields.
+    # Their int32 separator positions (1.4 MB) are the block's one per-field array, and a
+    # column's starts and lengths are made only as it is keyed
+    block = lowcard_lines(1 << 20, 11)
     columns = table_module._Columns([f"c{j}" for j in range(11)])
-    tracemalloc.start()
-    try:
-        columns.add_fields(*table_module._tokenize(block, ord(","), 11))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert columns.rows == lines
+    _, peak = traced_peak(lambda: columns.add_fields(*table_module._tokenize(block, ord(","), 11)))
+    assert columns.rows == (1 << 20) // 33
     assert peak < 5 << 20
+
+
+def test_ingest_holds_one_block_at_a_time(monkeypatch, tokenized):
+    # four 1 MiB blocks: before the merge, ingest holds each block's keys and narrow
+    # parts (1.4 MB in all) and one block's bytes, positions and keying at a time.
+    # Traced peak over the held: 4.8 MB, and 8.1 MB while the previous block was kept
+    data = b",".join(b"c%d" % j for j in range(11)) + b"\n" + lowcard_lines(4 << 20, 12)
+    before_merge = []
+    merge = table_module._Columns.table
+
+    def table(columns, name, na):
+        held = sum(k.nbytes for keys in columns.keys for k in keys)
+        held += sum(local.nbytes for parts in columns.parts for _, local in parts)
+        before_merge.append((tracemalloc.get_traced_memory()[1], held))
+        return merge(columns, name, na)
+
+    monkeypatch.setattr(table_module._Columns, "table", table)
+    ingested, _ = traced_peak(lambda: ingest_delimited(data))
+    assert tokenized == [True] * 5
+    assert ingested.row_count == (4 << 20) // 33
+    (peak, held), = before_merge
+    assert peak - held < 6 << 20
 
 
 @pytest.mark.parametrize("block", [1 << 20, 8])
@@ -754,12 +771,7 @@ def test_one_long_field_does_not_widen_every_key(tokenized):
     # csv.reader reads the quoted field; padding every key of its chunk to
     # 50,000 bytes would take 200 MB
     data = b"v\n" + b"".join(b"%d\n" % i for i in range(4000)) + b'"' + b"x" * 50_000 + b'"\n'
-    tracemalloc.start()
-    try:
-        table = ingest_delimited(data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    table, peak = traced_peak(lambda: ingest_delimited(data))
     assert tokenized == [False]
     assert len(table.values[0]) == 4001
     assert peak < 10 << 20
@@ -1031,12 +1043,7 @@ def test_one_long_value_writes_within_twice_its_padded_values():
     # is bounded by bytes, not rows
     rows = [[f"s{i}"] for i in range(2_000)] + [["x" * 10_000]]
     table = Table.from_rows("t", ["a"], rows)
-    tracemalloc.start()
-    try:
-        text = table.to_delimited()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    text, peak = traced_peak(table.to_delimited)
     assert text == "a\n" + "".join(row[0] + "\n" for row in rows)
     assert peak < 2 * len(rows) * (10_000 + 1)
 
@@ -1320,12 +1327,7 @@ def test_an_id_column_ingests_within_64_bytes_a_row():
     ids = list(range(10_000_000, 10_000_000 + rows))
     random.Random(30).shuffle(ids)
     data = b"id\n" + b"".join(b"%d\n" % i for i in ids)
-    tracemalloc.start()
-    try:
-        table = ingest_delimited(data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    table, peak = traced_peak(lambda: ingest_delimited(data))
     assert table.cardinality(0) == rows
     assert peak < 64 * rows
 
