@@ -360,5 +360,27 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> None:
+    """The process entry: :func:`main`, then stdout and stderr flushed, then ``os._exit``.
+
+    The process ends without interpreter finalization, which frees every
+    module's objects for nothing once the output is written. Every file
+    the subcommands write is closed before :func:`main` returns. A flush
+    that fails is one error line and exit 2.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        code = 2
+        with contextlib.suppress(OSError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+    try:
+        sys.stderr.flush()
+    except OSError:
+        code = 2
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -537,7 +537,10 @@ class _Columns:
 
         Field k lies after ``bounds[k]`` and up to ``bounds[k + 1]`` (see
         :func:`_split`). Each column's starts and lengths are taken, and
-        trimmed if ``trim``, only as that column is keyed.
+        trimmed if ``trim``, only as that column is keyed. A column whose
+        fields fall in one width class is keyed in one piece, and the
+        ``int32`` inverse of its factorization is its local codes, with no
+        copy; only a column of several classes gathers and offsets each.
         """
         width = len(self.names)
         for j, (keys, part) in enumerate(zip(self.keys, self.parts)):
@@ -547,17 +550,22 @@ class _Columns:
                 _trim(buf, starts, lengths)
             # keys in width classes, uint64 up to 8 bytes and then powers of two, so none is
             # padded to over twice its bytes; often a column's fields all fall in one
-            shortest, longest = max(8, int(lengths.min())), int(lengths.max())
-            classes = [slice(None)]
-            if (shortest - 1).bit_length() < (longest - 1).bit_length():
-                exponents = np.frexp(np.maximum(lengths, 8) - 1)[1]
-                classes = [exponents == e for e in np.flatnonzero(np.bincount(exponents))]
+            shortest, longest = int(lengths.min()), int(lengths.max())
             offset = sum(map(len, keys))
-            local = np.empty(len(starts), dtype=np.int32)
-            for rows in classes:
-                distinct, inverse = _factorize(_field_keys(buf, starts[rows], lengths[rows]))
-                local[rows] = inverse + (sum(map(len, keys)) - offset)
+            if (max(8, shortest) - 1).bit_length() == (max(8, longest) - 1).bit_length():
+                distinct, local = _factorize(_field_keys(buf, starts, lengths, shortest, longest))
                 keys.append(distinct)
+            else:
+                exponents = np.frexp(np.maximum(lengths, 8) - 1)[1]
+                local = np.empty(len(starts), dtype=np.int32)
+                for e in np.flatnonzero(np.bincount(exponents)):
+                    rows = exponents == e
+                    sized = lengths[rows]
+                    distinct, inverse = _factorize(
+                        _field_keys(buf, starts[rows], sized, int(sized.min()), int(sized.max()))
+                    )
+                    local[rows] = inverse + (sum(map(len, keys)) - offset)
+                    keys.append(distinct)
             part.append((offset, local.astype(code_dtype(sum(map(len, keys)) - offset))))
         self.rows += (len(bounds) - 1) // width
 
@@ -646,6 +654,12 @@ def _tokenize(
     different number of fields (a blank line included), or when a field
     is longer than the csv field limit, which is checked on each line's
     length first and on the fields' only where a line is longer.
+
+    Line shape is checked per line, not per field: the separators must
+    number ``width`` times the newlines, which the newline mask counts,
+    and every ``width``-th separator must be a newline. Then no other
+    separator is one, so every line holds ``width`` fields. The header
+    block's ``width`` is one more than its first line's delimiters.
     """
     if b'"' in block or b"\r" in block or b"\0" in block:
         return None
@@ -657,23 +671,20 @@ def _tokenize(
     if not block.endswith(b"\n"):
         block += b"\n"  # the last line of an input without a final newline
     data = np.frombuffer(block, dtype=np.uint8)
-    mask = data == delimiter
-    mask |= data == 10
+    mask = data == 10
+    lines = np.count_nonzero(mask)
+    mask |= data == delimiter
     bounds = _bounds(mask)
     del mask
-    ends = data[bounds[1:]] == 10
     if width is None:
-        width = int(ends.argmax()) + 1
-    if len(ends) % width:
+        width = block.count(delimiter, 0, block.index(b"\n")) + 1
+    # width fields a line and a newline at every width-th separator: no other newline is left
+    if len(bounds) - 1 != width * lines or not (data[bounds[width::width]] == 10).all():
         return None
-    ends = ends.reshape(-1, width)
-    if not ends[:, -1].all() or ends[:, :-1].any():
+    records, limit = _record_bytes(bounds, width), csv.field_size_limit()
+    if width == 1 and not records.all():  # a blank line
         return None
-    del ends
-    lines, limit = _record_bytes(bounds, width), csv.field_size_limit()
-    if width == 1 and not lines.all():  # a blank line
-        return None
-    if lines.max() > limit and (np.diff(bounds) - 1).max() > limit:
+    if records.max() > limit and (np.diff(bounds) - 1).max() > limit:
         return None
     return _split(block, bounds, width, b"\n" + bytes([delimiter]))
 
@@ -751,16 +762,25 @@ def _trim(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> None:
             fields, window = fields[run == window], 2 * window
 
 
-def _field_keys(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """One key per field, its bytes zero-padded: uint64 up to 8 bytes, ``S{w}`` above."""
-    width = int(lengths.max(initial=0))
-    if width <= 8:
+def _field_keys(
+    buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, shortest: int, longest: int
+) -> np.ndarray:
+    """One key per field, its bytes zero-padded: uint64 up to 8 bytes, ``S{w}`` above.
+
+    Every length lies from ``shortest`` to ``longest``, which sets the
+    key's width. When the two are equal, every key takes one mask, with
+    no gather over the lengths.
+    """
+    if longest <= 8:
         # element i holds the 8 bytes from buf[i] on, little-endian, so keys keep byte order
         eights = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
-        return eights[starts] & _LOW_BYTES.take(lengths)
-    keys = sliding_window_view(buf, width)[starts]
-    keys[np.arange(width) >= lengths[:, None]] = 0
-    return keys.view(f"S{width}").ravel()
+        keys = eights[starts]
+        keys &= _LOW_BYTES[longest] if shortest == longest else _LOW_BYTES.take(lengths)
+        return keys
+    keys = sliding_window_view(buf, longest)[starts]
+    if shortest < longest:
+        keys[np.arange(longest) >= lengths[:, None]] = 0
+    return keys.view(f"S{longest}").ravel()
 
 
 def ingest_delimited(source: bytes | IO[bytes], options: IngestOptions | None = None) -> Table:

@@ -470,8 +470,7 @@ def test_ingest_matches_reference_parser_beyond_one_chunk():
 
 # -- the numpy tokenizer and its hand-over to csv.reader ----------------------
 
-@pytest.fixture
-def tokenized(monkeypatch):
+def spy_tokenize(patch: pytest.MonkeyPatch) -> list[bool]:
     """One entry per block offered to the numpy tokenizer: True if it split it."""
     outcomes: list[bool] = []
     tokenize = table_module._tokenize
@@ -481,8 +480,13 @@ def tokenized(monkeypatch):
         outcomes.append(fields is not None)
         return fields
 
-    monkeypatch.setattr(table_module, "_tokenize", spy)
+    patch.setattr(table_module, "_tokenize", spy)
     return outcomes
+
+
+@pytest.fixture
+def tokenized(monkeypatch):
+    return spy_tokenize(monkeypatch)
 
 
 def test_ingest_matches_reference_parser_over_many_numpy_blocks(monkeypatch, tokenized):
@@ -518,6 +522,79 @@ def test_fault_in_a_quote_free_block_is_reported_by_csv_reader(
     # in 64-byte blocks the fault is in a later block, after numpy split the first ones
     assert tokenized[-1] is False
     assert any(tokenized) == (block == 64)
+
+
+# each input holds as many separators as its lines times its width, so a count of the
+# separators alone would keep it on the numpy path
+BALANCED_FAULTS = [
+    (b"a,b,c\n1,2,3\n", b"1,2,3,4\n1,2\n4,5,6\n", "ragged row: 4 fields, expected 3 (record 3)"),
+    (b"a,b,c\n1,2,3\n", b"1,2\n1,2,3,4\n4,5,6\n", "ragged row: 2 fields, expected 3 (record 3)"),
+    (b"a\n1\n", b"\n2\n", "ragged row: 0 fields, expected 1 (record 3)"),
+    (b"a,b\n1,2\n", b"\n1,2,3\n", "ragged row: 0 fields, expected 2 (record 3)"),
+    (b"a,b,c\n1,2,3\n", b"1,2,3,4\n1,2", "ragged row: 4 fields, expected 3 (record 3)"),
+]
+
+
+@pytest.mark.parametrize("whole", [True, False])
+@pytest.mark.parametrize("head, rest, message", BALANCED_FAULTS)
+def test_lines_whose_separators_balance_are_still_read_by_csv_reader(
+    monkeypatch, tokenized, whole, head, rest, message
+):
+    data = head + rest
+    width = head.count(b",", 0, head.index(b"\n")) + 1
+    lines = data.count(b"\n") + (not data.endswith(b"\n"))
+    assert data.count(b",") + lines == width * lines
+    # in one block, or the header and first row in one and the rest in the next
+    monkeypatch.setattr(table_module, "_BLOCK_BYTES", 1 << 20 if whole else len(head))
+    with pytest.raises(IngestError) as exc:
+        ingest_delimited(data)
+    assert (str(exc.value), exc.value.row) == (message, 3)
+    assert tokenized == ([False] if whole else [True, False])
+
+
+PLAIN_CELL = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters='\0\r\n",;\t'), max_size=3
+)
+
+
+@st.composite
+def swapped_inputs(draw):
+    """A quote-free LF input, its body with one delimiter and one newline swapped."""
+    n_cols = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.lists(PLAIN_CELL, min_size=n_cols, max_size=n_cols), min_size=1,
+                         max_size=14))
+    delimiter = draw(st.sampled_from([",", "\t", ";"]))
+    body = bytearray("".join(delimiter.join(row) + "\n" for row in rows).encode())
+    at_delimiter = draw(st.sampled_from([i for i, b in enumerate(body) if b == ord(delimiter)]))
+    at_newline = draw(st.sampled_from([i for i, b in enumerate(body) if b == 10]))
+    body[at_delimiter], body[at_newline] = body[at_newline], body[at_delimiter]
+    header = delimiter.join(f"c{j}" for j in range(n_cols)) + "\n"
+    return header.encode() + bytes(body), IngestOptions(delimiter=delimiter, table_name="t")
+
+
+@settings(max_examples=300, deadline=None)
+@given(swapped_inputs(), st.sampled_from([8, 24, 1 << 20]))
+def test_a_swapped_delimiter_and_newline_reads_as_the_reference_or_its_ragged_row(case, block):
+    data, opts = case
+    names = data[: data.index(b"\n")].split(opts.delimiter.encode())
+    body = io.StringIO(data.decode()[data.index(b"\n") + 1 :], newline="")
+    ragged = [
+        (i + 2, len(record))
+        for i, record in enumerate(csv.reader(body, delimiter=opts.delimiter))
+        if len(record) != len(names)
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(table_module, "_BLOCK_BYTES", block)
+        tokenized = spy_tokenize(patch)
+        if not ragged:
+            assert_matches_reference(data, opts)
+            assert all(tokenized)
+            return
+        with pytest.raises(IngestError) as exc:
+            ingest_delimited(data, opts)
+    record, fields = ragged[0]
+    assert str(exc.value) == f"ragged row: {fields} fields, expected {len(names)} (record {record})"
+    assert tokenized[-1] is False
 
 
 def test_quote_in_a_later_block_hands_the_rest_to_csv_reader(monkeypatch, tokenized):
