@@ -17,15 +17,16 @@ It decodes each column's keys to strings once, on the first read of
 ``values``, ``cells`` or ``==``, and ``cells`` decodes the codes too.
 
 Ingest reads the bytes in blocks of about 1 MiB, each cut after its
-last newline, and holds one block at a time. A block with no quote, CR
-or NUL byte, a one-byte ASCII delimiter, the same number of fields on
-every line, no field over the csv field limit and valid UTF-8 is
-tokenized with numpy. The first block that breaks any of these rules,
-and everything after it, is decoded block by block and read as lines
-by ``csv.reader``, which is the only parser that reads quoted fields or
-CR line endings and the one place that reports malformed records.
-Faults are reported in record order: the records read before a
-malformed record or invalid UTF-8 are checked for ragged rows first.
+last newline, into one buffer that every block reuses, and copies no
+block it tokenizes. A block with no quote, CR or NUL byte, a one-byte
+ASCII delimiter, the same number of fields on every line, no field over
+the csv field limit and valid UTF-8 is tokenized with numpy. The first
+block that breaks any of these rules, and everything after it, is
+decoded block by block and read as lines by ``csv.reader``, which is
+the only parser that reads quoted fields or CR line endings and the one
+place that reports malformed records. Faults are reported in record
+order: the records read before a malformed record or invalid UTF-8 are
+checked for ragged rows first.
 
 Both parsers and :meth:`Table.from_rows` feed one merge of byte keys,
 in numpy calls only. The cells of a ``csv.reader`` chunk or of
@@ -33,15 +34,18 @@ in numpy calls only. The cells of a ``csv.reader`` chunk or of
 NUL written as 0xfe, neither of which UTF-8 holds. A block or chunk
 keeps one array of a value per field, its separators' ``int32``
 positions. Each column's fields' starts and lengths are taken from them
-only as that column is keyed, and moved past their leading and
-trailing ASCII whitespace, so the keys are canonical. Each column is
-factorized on zero-padded keys, ``uint64`` up to 8 bytes and above that
-``S{w}`` in width classes of powers of two, so no key is padded to more
-than twice its length, by :func:`_factorize`: one argsort, or for
-``uint64`` keys of a small span no sort. At the end, one factorization
-per class merges a column's keys across blocks, and one take per block
-writes its codes. Equal values have equal lengths and so meet in one
-class. The empty key and the NA token become missing, and the table
+only as that column is keyed, and moved past their leading and trailing
+ASCII whitespace, so the keys are canonical. Each column is factorized
+on zero-padded keys, ``uint64`` up to 8 bytes and above that ``S{w}``
+in width classes of powers of two, so no key is padded to more than
+twice its length, by :func:`_factorize`: one argsort, or for ``uint64``
+keys of a small span no sort. Each block writes its cells' indexes into
+its own distinct keys straight into one code array a column, sized for
+the rows the input's length implies where that is known. At the end,
+one factorization per class merges a column's keys across blocks, and
+one take per block remaps its rows, in place where the merged codes
+keep the array's dtype. Equal values have equal lengths and so meet in
+one class. The empty key and the NA token become missing, and the table
 keeps the other merged keys undecoded. Values are ordered by class,
 then by key, with missing last.
 
@@ -65,6 +69,8 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import stat
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
@@ -88,9 +94,9 @@ _ASCII_WS = " \t\r\n\x0b\x0c"
 _CHUNK_RECORDS = 4096
 
 # Bytes read per block of ingest. On the same machine, select children on the seed-9901
-# benchmark files (10 alternating runs each) peaked at 46.8, 46.6 and 50.5 MB RSS on the
-# 700k-row lowcard file, and at 64.3, 61.2 and 60.3 MB on the 300k-row tall one, with
-# blocks of 512 KiB, 1 MiB and 2 MiB; median wall 0.44, 0.42 and 0.41 s, and 0.44, 0.43
+# benchmark files (10 alternating runs each) peaked at 39.5, 41.3 and 44.6 MB RSS on the
+# 700k-row lowcard file, and at 60.1, 58.1 and 57.5 MB on the 300k-row tall one, with
+# blocks of 512 KiB, 1 MiB and 2 MiB; median wall 0.40, 0.38 and 0.37 s, and 0.41, 0.42
 # and 0.42 s.
 _BLOCK_BYTES = 1 << 20
 
@@ -494,20 +500,28 @@ def _header_names(header: list[str] | None) -> list[str]:
 
 
 class _Columns:
-    """Byte keys of every column, merged across the records added so far.
+    """Byte keys and codes of every column, merged across the records added so far.
 
     ``keys[j]`` holds column j's distinct canonical keys, block by block
     and in width classes (uint64 for up to 8 bytes, ``S{w}`` of a power of
-    two ``w`` above); ``parts[j]`` holds each block's offset into them and
-    its cells' narrow indexes from there. Both parsers and
-    :meth:`Table.from_rows` add to it.
+    two ``w`` above). ``codes[j]`` is column j's one code array: each
+    block writes its cells' narrow indexes from its own keys into its
+    rows, and ``parts[j]`` holds each block's offset into the keys, first
+    row and row count. The merge remaps the rows, in place where the
+    dtype allows. Both parsers and :meth:`Table.from_rows` add to it.
+
+    ``size`` is how many bytes the input holds, if known, and ``read`` how
+    many of them the records added so far came from; the code arrays are
+    sized for the rows the input holds at that rate.
     """
 
-    def __init__(self, names: Sequence[str]):
+    def __init__(self, names: Sequence[str], size: int | None = None):
         self.names = names
         self.keys: list[list[np.ndarray]] = [[] for _ in names]
-        self.parts: list[list[tuple[int, np.ndarray]]] = [[] for _ in names]
+        self.codes: list[np.ndarray] = [np.empty(0, dtype=np.uint8) for _ in names]
+        self.parts: list[list[tuple[int, int, int]]] = [[] for _ in names]
         self.rows = 0
+        self.size, self.read = size, 0
 
     @property
     def next_record(self) -> int:
@@ -529,8 +543,9 @@ class _Columns:
 
     def add_keys(self, data: bytes) -> None:
         """Add the records whose fields' keys ``data`` holds, row by row, each ended by 0xff."""
+        self.read += len(data)  # about the bytes the records took in the input
         bounds = _bounds(np.frombuffer(data, dtype=np.uint8) == 0xFF)
-        self.add_fields(*_split(data, bounds, len(self.names), b"\xff"))
+        self.add_fields(*_split(bytearray(data), 0, len(data), bounds, len(self.names), b"\xff"))
 
     def add_fields(self, buf: np.ndarray, bounds: np.ndarray, trim: bool) -> None:
         """Add the records whose fields, row by row, lie between ``bounds`` in ``buf``.
@@ -539,10 +554,13 @@ class _Columns:
         :func:`_split`). Each column's starts and lengths are taken, and
         trimmed if ``trim``, only as that column is keyed. A column whose
         fields fall in one width class is keyed in one piece, and the
-        ``int32`` inverse of its factorization is its local codes, with no
-        copy; only a column of several classes gathers and offsets each.
+        ``int32`` inverse of its factorization is cast straight into the
+        column's code array; only a column of several classes gathers and
+        offsets each first.
         """
         width = len(self.names)
+        first, rows = self.rows, (len(bounds) - 1) // width
+        self._reserve(first + rows)
         for j, (keys, part) in enumerate(zip(self.keys, self.parts)):
             starts = bounds[j:-1:width] + 1
             lengths = bounds[j + 1 :: width] - starts
@@ -559,33 +577,69 @@ class _Columns:
                 exponents = np.frexp(np.maximum(lengths, 8) - 1)[1]
                 local = np.empty(len(starts), dtype=np.int32)
                 for e in np.flatnonzero(np.bincount(exponents)):
-                    rows = exponents == e
-                    sized = lengths[rows]
+                    at = exponents == e
+                    sized = lengths[at]
                     distinct, inverse = _factorize(
-                        _field_keys(buf, starts[rows], sized, int(sized.min()), int(sized.max()))
+                        _field_keys(buf, starts[at], sized, int(sized.min()), int(sized.max()))
                     )
-                    local[rows] = inverse + (sum(map(len, keys)) - offset)
+                    local[at] = inverse + (sum(map(len, keys)) - offset)
                     keys.append(distinct)
-            part.append((offset, local.astype(code_dtype(sum(map(len, keys)) - offset))))
-        self.rows += (len(bounds) - 1) // width
+            dtype = code_dtype(sum(map(len, keys)) - offset)
+            if dtype.itemsize > self.codes[j].itemsize:  # widened for this block and on
+                self.codes[j] = _moved(self.codes[j], len(self.codes[j]), dtype, first)
+            self.codes[j][first : first + rows] = local
+            part.append((offset, first, rows))
+        self.rows += rows
+
+    def _reserve(self, rows: int) -> None:
+        """Room for ``rows`` codes in every column's array, each moved once it is too small.
+
+        The new room is for the rows the input holds at the rate of the
+        bytes read so far, and a sixteenth more; or, if the input's size
+        is unknown or the estimate falls short, twice the old room.
+        """
+        room = len(self.codes[0]) if self.codes else rows
+        if rows <= room:
+            return
+        ahead = rows * self.size // self.read if self.size and self.read else 0
+        room = max(rows, ahead + ahead // 16, 2 * room)
+        for j, codes in enumerate(self.codes):  # one column's two arrays alive at a time
+            self.codes[j] = _moved(codes, room, codes.dtype, self.rows)
 
     def table(self, name: str, na: bytes) -> Table:
         """The table ``name`` of the keys added, with ``na`` and the empty key as missing."""
         columns = []
         for j, column in enumerate(self.names):
-            columns.append((column, *_merge(self.keys[j], self.parts[j], self.rows, na)))
+            merged = _merge(self.keys[j], self.parts[j], self.codes[j], self.rows, na)
+            columns.append((column, *merged))
             self.keys[j] = self.parts[j] = []  # free the column's blocks once it is merged
+            self.codes[j] = merged[1]  # drops the block codes if the merge wrote new ones
         return Table._from_keys(name, columns)
 
 
-def _merge(keys: list, parts: list, rows: int, na: bytes) -> tuple[_Keys, np.ndarray]:
-    """A column's distinct keys and ``rows`` codes, from its blocks' keys and parts.
+def _moved(codes: np.ndarray, room: int, dtype: np.dtype, rows: int) -> np.ndarray:
+    """An array of ``room`` elements of ``dtype`` whose first ``rows`` are those of ``codes``.
 
-    Each part holds a block's offset into ``keys`` and its cells' indexes
-    from there. Equal keys share a width class, so one factorization per
-    class (:func:`_factorize`) merges them; each block's keys are set to
-    None in ``keys`` once concatenated. The empty key and ``na`` are
-    missing, coded last.
+    Only the rows are copied, so the pages past them are not touched.
+    """
+    moved = np.empty(room, dtype=dtype)
+    moved[:rows] = codes[:rows]
+    return moved
+
+
+def _merge(
+    keys: list, parts: list, codes: np.ndarray, rows: int, na: bytes
+) -> tuple[_Keys, np.ndarray]:
+    """A column's distinct keys and ``rows`` codes, from its blocks' keys, parts and codes.
+
+    Each part holds a block's offset into ``keys``, its first row and its
+    row count; ``codes`` holds each row's index from its block's offset.
+    Equal keys share a width class, so one factorization per class
+    (:func:`_factorize`) merges them; each block's keys are set to None in
+    ``keys`` once concatenated. The empty key and ``na`` are missing,
+    coded last. Where the merged codes have the dtype of ``codes``, one
+    take per block remaps its rows in place, and the codes are a view of
+    ``codes``' first ``rows``; otherwise the takes write a new array.
     """
     bounds = np.cumsum([0, *map(len, keys)])
     widths = [1 << (k.itemsize - 1).bit_length() for k in keys]
@@ -613,42 +667,69 @@ def _merge(keys: list, parts: list, rows: int, na: bytes) -> tuple[_Keys, np.nda
     missing = code_of < 0
     code_of[missing] = kept_so_far
     code_of = code_of.astype(code_dtype(kept_so_far + missing.any()), copy=False)
-    codes, start = np.empty(rows, dtype=code_of.dtype), 0
-    for offset, local in parts:  # one take per block, straight into the codes
-        start += len(local)
-        code_of[offset:].take(local, out=codes[start - len(local) : start], mode="clip")
-    return _Keys(tuple(values), bool(missing.any())), codes
+    merged = codes if codes.dtype == code_of.dtype else np.empty(rows, dtype=code_of.dtype)
+    for offset, first, count in parts:  # one take per block, into its own rows
+        local = codes[first : first + count]
+        code_of[offset:].take(local, out=merged[first : first + count], mode="clip")
+    return _Keys(tuple(values), bool(missing.any())), merged[:rows]
 
 
-def _blocks(stream: IO[bytes]) -> Iterator[bytes]:
+def _size(stream: IO[bytes]) -> int | None:
+    """How many bytes are left in a regular file's stream; None for any other, or if empty."""
+    try:
+        status = os.fstat(stream.fileno())
+        left = status.st_size - stream.tell() if stat.S_ISREG(status.st_mode) else 0
+    except (AttributeError, OSError, ValueError):  # no file descriptor, or none to seek
+        return None
+    return left if left > 0 else None
+
+
+def _fill(stream: IO[bytes], view: memoryview) -> int:
+    """Read into ``view`` until it is full or the stream ends; how many bytes were read."""
+    got = 0
+    while got < len(view) and (more := stream.readinto(view[got:])):
+        got += more
+    return got
+
+
+def _blocks(stream: IO[bytes]) -> Iterator[tuple[bytearray, int]]:
     """The stream in blocks of about ``_BLOCK_BYTES``, each cut after its last newline.
 
-    Only the last block may lack a final newline. Each read is dropped
-    before its block is yielded, and nothing here holds a block while
-    the caller uses it, so one block is alive at a time.
+    Each block is ``buffer[:end]`` of one ``bytearray`` that every read
+    fills (``readinto``), as ``(buffer, end)``: the unread tail past the
+    block is moved to the buffer's front for the next one, so no block is
+    copied. At least 8 bytes follow each block. The caller may extend the
+    buffer, and write past the last block, which alone may lack a final
+    newline; it must hold no view of the buffer when it takes the next
+    block.
     """
-    pending: list[bytes] = []
-    while data := stream.read(_BLOCK_BYTES):
-        cut = data.rfind(b"\n") + 1
-        if cut:
-            pending = [b"".join([*pending, data[:cut]]), data[cut:]]
-            del data
-            yield pending.pop(0)  # pending keeps only the tail past the yield
-        else:
-            pending.append(data)
-    if tail := b"".join(pending):
-        yield tail
+    buffer, filled = bytearray(_BLOCK_BYTES + 8), 0
+    while True:
+        if len(buffer) < filled + _BLOCK_BYTES + 8:  # a line longer than the reads so far
+            buffer.extend(bytes(filled + _BLOCK_BYTES + 8 - len(buffer)))
+        with memoryview(buffer) as view:
+            got = _fill(stream, view[filled : filled + _BLOCK_BYTES])
+        if not got:
+            break
+        end = buffer.rfind(b"\n", filled, filled + got) + 1
+        filled += got
+        if end:
+            yield buffer, end
+            buffer[: filled - end] = buffer[end:filled]
+            filled -= end
+    if filled:
+        yield buffer, filled
 
 
 def _tokenize(
-    block: bytes, delimiter: int, width: int | None
+    buffer: bytearray, start: int, end: int, delimiter: int, width: int | None
 ) -> tuple[np.ndarray, np.ndarray, bool] | None:
-    """Split a block into fields with numpy, or None if csv.reader must parse it.
+    """Split ``buffer[start:end]`` into fields with numpy, or None if csv.reader must parse it.
 
     Returns what :meth:`_Columns.add_fields` takes (see :func:`_split`),
-    the header's fields included: the block's bytes, zero-padded, and
-    its separators' ``int32`` positions after a leading -1, its only
-    array of a value per field. ``width`` is the number of columns,
+    the header's fields included: the buffer from ``start`` as an array,
+    and the block's separators' ``int32`` positions after a leading -1,
+    its only array of a value per field. ``width`` is the number of columns,
     or None to take it from the first line. Returns None when the block
     holds a quote, CR or NUL byte or invalid UTF-8, when a line has a
     different number of fields (a blank line included), or when a field
@@ -661,32 +742,34 @@ def _tokenize(
     separator is one, so every line holds ``width`` fields. The header
     block's ``width`` is one more than its first line's delimiters.
     """
-    if b'"' in block or b"\r" in block or b"\0" in block:
+    if any(buffer.find(byte, start, end) >= 0 for byte in b'"\r\0'):
         return None
-    if not block.isascii():
+    if end == start or buffer[end - 1] != 10:  # the last line lacks a newline
+        buffer[end] = 10  # in the room that _blocks leaves past each block
+        end += 1
+    data = np.frombuffer(buffer, dtype=np.uint8, count=end - start, offset=start)
+    if data.max() >= 0x80:
         try:
-            block.decode("utf-8")  # a newline never falls inside a UTF-8 character
+            str(memoryview(buffer)[start:end], "utf-8")  # no newline falls inside a character
         except UnicodeDecodeError:
             return None
-    if not block.endswith(b"\n"):
-        block += b"\n"  # the last line of an input without a final newline
-    data = np.frombuffer(block, dtype=np.uint8)
     mask = data == 10
     lines = np.count_nonzero(mask)
     mask |= data == delimiter
     bounds = _bounds(mask)
     del mask
     if width is None:
-        width = block.count(delimiter, 0, block.index(b"\n")) + 1
+        width = buffer.count(delimiter, start, buffer.index(b"\n", start)) + 1
     # width fields a line and a newline at every width-th separator: no other newline is left
     if len(bounds) - 1 != width * lines or not (data[bounds[width::width]] == 10).all():
         return None
+    del data  # _split may extend the buffer, which no view of it may be left to hold
     records, limit = _record_bytes(bounds, width), csv.field_size_limit()
     if width == 1 and not records.all():  # a blank line
         return None
     if records.max() > limit and (np.diff(bounds) - 1).max() > limit:
         return None
-    return _split(block, bounds, width, b"\n" + bytes([delimiter]))
+    return _split(buffer, start, end, bounds, width, b"\n" + bytes([delimiter]))
 
 
 def _bounds(mask: np.ndarray) -> np.ndarray:
@@ -711,21 +794,25 @@ def _record_bytes(bounds: np.ndarray, width: int) -> np.ndarray:
 
 
 def _split(
-    data: bytes, bounds: np.ndarray, width: int, separators: bytes
+    buffer: bytearray, start: int, end: int, bounds: np.ndarray, width: int, separators: bytes
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """What :meth:`_Columns.add_fields` takes: ``data`` zero-padded at the end, ``bounds``, trim.
+    """What :meth:`_Columns.add_fields` takes: ``buffer`` from ``start`` as an array, bounds, trim.
 
-    Field k of ``data``, row by row, lies after ``bounds[k]`` and ends
-    at ``bounds[k + 1]``, where one of ``separators`` is; ``width``
-    fields make a record. The padding holds the longest record, so a key
-    read from any field's start stays in the buffer. Trim is whether
-    ``data`` holds ASCII whitespace that is not a separator.
+    Field k of ``buffer[start:end]``, row by row, lies after ``bounds[k]``
+    and ends at ``bounds[k + 1]``, where one of ``separators`` is;
+    ``width`` fields make a record. The buffer is extended, if need be, so
+    that the longest record's bytes, and at least 8, follow ``end``: a key
+    read from any field's start stays in it. They need not be zeros, as
+    :func:`_field_keys` masks each key by its length. Trim is whether
+    ``buffer[start:end]`` holds ASCII whitespace that is not a separator.
     """
-    buf = np.zeros(len(data) + max(8, int(_record_bytes(bounds, width).max())), dtype=np.uint8)
-    buf[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+    room = end + max(8, int(_record_bytes(bounds, width).max()))
+    if len(buffer) < room:
+        buffer.extend(bytes(room - len(buffer)))
     # a scan per whitespace byte costs far less than _trim's gather per field
-    trim = any(byte in data for byte in _ASCII_WS.encode() if byte not in separators)
-    return buf, bounds, trim
+    white = [byte for byte in _ASCII_WS.encode() if byte not in separators]
+    trim = any(buffer.find(byte, start, end) >= 0 for byte in white)
+    return np.frombuffer(buffer, dtype=np.uint8)[start:], bounds, trim
 
 
 def _trim(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> None:
@@ -786,12 +873,12 @@ def _field_keys(
 def ingest_delimited(source: bytes | IO[bytes], options: IngestOptions | None = None) -> Table:
     """Parse RFC-4180-style delimited text into a :class:`Table`.
 
-    ``source`` is a byte string or binary stream; UTF-8 only, with a BOM
-    stripped if present. Empty fields and the sentinel become missing.
-    The stream is read in blocks, split by numpy or a strict
-    ``csv.reader`` as the module docstring tells, and each column is
-    factorized on byte keys as it is read, so no cell is kept as its own
-    string.
+    ``source`` is a byte string or a binary stream, read with ``readinto``;
+    UTF-8 only, with a BOM stripped if present. Empty fields and the
+    sentinel become missing. The stream is read in blocks, split by numpy
+    or a strict ``csv.reader`` as the module docstring tells, and each
+    column is factorized on byte keys as it is read, so no cell is kept as
+    its own string.
 
     Raises :class:`IngestError` for undecodable bytes, an empty input
     or header, duplicate or empty header names, records the strict csv
@@ -804,40 +891,43 @@ def ingest_delimited(source: bytes | IO[bytes], options: IngestOptions | None = 
     opts = options or IngestOptions()
 
     stream = io.BytesIO(source) if isinstance(source, bytes) else source
+    size = len(source) if isinstance(source, bytes) else _size(stream)
     blocks = _blocks(stream)
-    head = next(blocks, b"")
-    offset = len(_BOM) if head.startswith(_BOM) else 0  # in the input, of the next block
-    blocks = chain([head[offset:]], blocks)
-    del head  # the chain holds the first block only until the loop takes it
     columns: _Columns | None = None
-    block = b""
-    if opts.delimiter.isascii():
-        for block in blocks:
-            width = None if columns is None else len(columns.names)
-            fields = _tokenize(block, ord(opts.delimiter), width)
-            if fields is None:
-                break
-            buf, bounds, trim = fields
-            if columns is None:
-                header = block.partition(b"\n")[0].decode("utf-8").split(opts.delimiter)
-                columns = _Columns(_header_names(header))
-                bounds = bounds[len(columns.names) :]
-            offset += len(block)
-            del block, fields  # buf holds a copy of the block's bytes
-            if len(bounds) > 1:
-                columns.add_fields(buf, bounds, trim)
-            del buf, bounds  # before the next block is read and split
-        else:
-            return columns.table(opts.table_name, _key(opts.na_token))
+    offset = 0  # in the input, of the next block
+    refused: list[bytes] = []  # the block csv.reader starts at
+    for buffer, end in blocks:
+        start = len(_BOM) if not offset and buffer.startswith(_BOM, 0, end) else 0
+        width = None if columns is None else len(columns.names)
+        fields = None
+        if opts.delimiter.isascii():
+            fields = _tokenize(buffer, start, end, ord(opts.delimiter), width)
+        if fields is None:
+            offset += start
+            refused.append(bytes(memoryview(buffer)[start:end]))
+            break
+        buf, bounds, trim = fields
+        if columns is None:
+            header = buffer[start : buffer.index(b"\n", start)].decode("utf-8")
+            columns = _Columns(_header_names(header.split(opts.delimiter)), size)
+            bounds = bounds[len(columns.names) :]
+        offset += end
+        columns.read = offset
+        if len(bounds) > 1:
+            columns.add_fields(buf, bounds, trim)
+        del buffer, fields, buf, bounds  # before the next block is read into the buffer
+    if columns is not None and not refused:  # numpy split every block; the buffer is freed
+        return columns.table(opts.table_name, _key(opts.na_token))
 
     line = 1 if columns is None else columns.next_record  # numpy reads one record per line
-    lines = _lines(chain([block], blocks), offset, line)
+    rest = (bytes(memoryview(buffer)[:end]) for buffer, end in blocks)
+    lines = _lines(chain(refused, rest), offset, line)
     records = csv.reader(lines, delimiter=opts.delimiter, strict=True)
     if columns is None:
         header, fault = _take(records, 1, 1)
         if fault:
             raise fault
-        columns = _Columns(_header_names(header[0] if header else None))
+        columns = _Columns(_header_names(header[0] if header else None), size)
     while True:
         chunk, fault = _take(records, _CHUNK_RECORDS, columns.next_record)
         columns.add_records(chunk)  # a ragged row before the fault is the first fault

@@ -12,6 +12,7 @@ import importlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -36,10 +37,12 @@ FORM = {
 }
 
 
-def entry(argv: list[str], stdout=subprocess.PIPE, buffered: bool = False):
+def entry(argv: list[str], stdout=subprocess.PIPE, buffered: bool = False,
+          stdin: str | None = None):
     """``python -m qi_sentry.cli argv`` with ``src`` on its path: code, stdout and stderr.
 
     ``buffered`` unsets ``PYTHONUNBUFFERED``, so stdout is written only when flushed.
+    ``stdin``, if given, is written to a pipe that is the command's stdin.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -49,7 +52,7 @@ def entry(argv: list[str], stdout=subprocess.PIPE, buffered: bool = False):
         env["PYTHONUNBUFFERED"] = "1"
     done = subprocess.run(
         [sys.executable, "-m", "qi_sentry.cli", *argv],
-        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, input=stdin,
     )
     return done.returncode, done.stdout, done.stderr
 
@@ -79,6 +82,23 @@ def test_select_exits_0_with_the_stdout_of_in_process_main(select_argv, fmt, buf
     expected = in_process(argv)
     assert expected[0] == 0 and expected[1]
     assert entry(argv, buffered=buffered) == expected
+
+
+def test_select_reads_a_pipe_of_several_blocks_as_its_file(select_argv):
+    # a pipe has no size to estimate the rows from, so the codes grow as they are read
+    rng = random.Random(5)
+    rows = [f"{rng.randint(40, 99)},{rng.randint(18, 80)},{rng.choice('MF')},"
+            f"{rng.randint(47000, 47030)}\n" for _ in range(90_000)]
+    text = CSV.partition("\n")[0] + "\n" + "".join(rows)
+    assert len(text) > 1 << 20  # more than one block of ingest
+    argv = [*select_argv, "--format", "json"]
+    Path(argv[argv.index("--input") + 1]).write_text(text)
+    code, from_file, err = entry(argv)
+    assert (code, err) == (0, "")
+    argv[argv.index("--input") + 1] = "/dev/stdin"
+    from_pipe = from_file.replace('"table": "t"', '"table": "stdin"', 1)
+    assert from_pipe != from_file
+    assert entry(argv, stdin=text) == (0, from_pipe, "")
 
 
 @pytest.mark.parametrize("buffered", [False, True])

@@ -740,23 +740,27 @@ def test_a_block_is_split_and_keyed_in_a_working_set_of_about_four_bytes_a_field
     # Their int32 separator positions (1.4 MB) are the block's one per-field array, and a
     # column's starts and lengths are made only as it is keyed
     block = lowcard_lines(1 << 20, 11)
+    buffer = bytearray(block) + bytes(8)  # as _blocks leaves it
     columns = table_module._Columns([f"c{j}" for j in range(11)])
-    _, peak = traced_peak(lambda: columns.add_fields(*table_module._tokenize(block, ord(","), 11)))
+    _, peak = traced_peak(
+        lambda: columns.add_fields(*table_module._tokenize(buffer, 0, len(block), ord(","), 11))
+    )
     assert columns.rows == (1 << 20) // 33
     assert peak < 5 << 20
 
 
 def test_ingest_holds_one_block_at_a_time(monkeypatch, tokenized):
-    # four 1 MiB blocks: before the merge, ingest holds each block's keys and narrow
-    # parts (1.4 MB in all) and one block's bytes, positions and keying at a time.
-    # Traced peak over the held: 4.8 MB, and 8.1 MB while the previous block was kept
+    # four 1 MiB blocks: before the merge, ingest holds each block's keys and one code
+    # array a column (1.5 MB in all) and one block's buffer, positions and keying at a
+    # time. Traced peak over the held: 4.0 MB; 4.8 MB while each block's codes were a part
+    # of their own and its bytes copied, and 8.1 MB while the previous block was kept
     data = b",".join(b"c%d" % j for j in range(11)) + b"\n" + lowcard_lines(4 << 20, 12)
     before_merge = []
     merge = table_module._Columns.table
 
     def table(columns, name, na):
         held = sum(k.nbytes for keys in columns.keys for k in keys)
-        held += sum(local.nbytes for parts in columns.parts for _, local in parts)
+        held += sum(codes.nbytes for codes in columns.codes)
         before_merge.append((tracemalloc.get_traced_memory()[1], held))
         return merge(columns, name, na)
 
@@ -765,7 +769,117 @@ def test_ingest_holds_one_block_at_a_time(monkeypatch, tokenized):
     assert tokenized == [True] * 5
     assert ingested.row_count == (4 << 20) // 33
     (peak, held), = before_merge
-    assert peak - held < 6 << 20
+    assert peak - held < 5_000_000
+
+
+def test_each_columns_codes_are_written_once(monkeypatch, tokenized):
+    # each block writes its codes into one array a column, and the merge remaps them in place;
+    # only a column whose merged dtype differs from its blocks' is written anew: 300 values,
+    # at most 170 a block (uint8 blocks, uint16 merged), or 255 values, the empty key and
+    # the NA token (257 keys a block, uint16; 256 codes merged, uint8)
+    monkeypatch.setattr(table_module, "_BLOCK_BYTES", 4096)
+    keys = ["", "NA", *(f"n{i}" for i in range(255))]
+    lines = [f"{'xyz'[i % 3]},w{i // 2 % 300},{keys[i % 257]}\n" for i in range(3000)]
+    data = ("low,wide,narrow\n" + "".join(lines)).encode()
+    written = []
+    merge = table_module._Columns.table
+
+    def table(columns, name, na):
+        written.extend(columns.codes)
+        return merge(columns, name, na)
+
+    monkeypatch.setattr(table_module._Columns, "table", table)
+    ingested = ingest_delimited(data)
+    assert len(tokenized) > 4 and all(tokenized)
+    assert [codes.dtype for codes in written] == [np.uint8, np.uint8, np.uint16]
+    assert [codes.dtype for codes in ingested.codes] == [np.uint8, np.uint16, np.uint8]
+    shared = [np.shares_memory(codes, w) for codes, w in zip(ingested.codes, written)]
+    assert shared == [True, False, False]
+    assert_matches_reference(data, IngestOptions(table_name="t"))
+
+
+class Trickle(io.RawIOBase):
+    """A stream that cannot seek, has no file descriptor and reads at most 7 bytes at a time."""
+
+    def __init__(self, data: bytes):
+        self.rest = data
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        size = min(7, len(buffer), len(self.rest))
+        buffer[:size], self.rest = self.rest[:size], self.rest[size:]
+        return size
+
+
+def spy_moves(patch: pytest.MonkeyPatch) -> list[int]:
+    """The room of each code array that ingest allocates."""
+    rooms: list[int] = []
+    moved = table_module._moved
+
+    def spy(codes, room, dtype, rows):
+        rooms.append(room)
+        return moved(codes, room, dtype, rows)
+
+    patch.setattr(table_module, "_moved", spy)
+    return rooms
+
+
+def test_a_stream_of_unknown_length_and_short_reads_ingests_as_its_bytes(monkeypatch, tokenized):
+    monkeypatch.setattr(table_module, "_BLOCK_BYTES", 64)
+    data = b"\xef\xbb\xbfa,b\n" + b"".join(b"%d, \xc3\xa9%d\n" % (i, i % 5) for i in range(200))
+    data += b"7,last"  # no final newline
+    rooms = spy_moves(monkeypatch)
+    table = ingest_delimited(Trickle(data))
+    assert len(tokenized) > 20 and all(tokenized)
+    # with no size to estimate the rows from, each column's room doubles
+    assert len(rooms) > 2 * 4 and rooms[::2] == rooms[1::2]
+    assert all(room == 2 * before for before, room in zip(rooms[::2], rooms[2::2]))
+    expected = ingest_delimited(data)
+    assert table == expected and table.values == expected.values
+    for codes, expected_codes in zip(table.codes, expected.codes):
+        assert codes.dtype == expected_codes.dtype and np.array_equal(codes, expected_codes)
+    assert table.column_values("b")[-2:] == ("\u00e94", "last")
+    assert_matches_reference(data, IngestOptions(table_name="t"))
+
+
+def test_an_input_of_known_size_allocates_each_code_array_once(monkeypatch, tmp_path):
+    # lines of one length: the rows estimated from the first block's bytes are all of them
+    monkeypatch.setattr(table_module, "_BLOCK_BYTES", 1 << 12)
+    data = b",".join(b"c%d" % j for j in range(11)) + b"\n" + lowcard_lines(1 << 16, 13)
+    (tmp_path / "t.csv").write_bytes(data)
+    rooms = spy_moves(monkeypatch)
+    with open(tmp_path / "t.csv", "rb") as handle:
+        from_file = ingest_delimited(handle)
+    from_bytes = ingest_delimited(data)
+    rows = (1 << 16) // 33
+    assert from_file.row_count == from_bytes.row_count == rows
+    assert len(rooms) == 2 * 11 and all(rows < room < rows * 9 // 8 for room in rooms)
+    assert from_file == from_bytes
+
+
+@pytest.mark.parametrize("stream", [False, True])
+@pytest.mark.parametrize("fault, message", [
+    (b"1,2\n", "ragged row: 2 fields, expected 3 (record {record})"),
+    (b"\xff,2,3\n", "input is not valid UTF-8 at byte {byte} (line {record}): invalid start byte"),
+])
+def test_a_quote_in_block_3_of_5_keeps_record_numbers_and_byte_offsets(
+    monkeypatch, tokenized, stream, fault, message
+):
+    monkeypatch.setattr(table_module, "_BLOCK_BYTES", 64)
+    rows = [b"%02d,\xc3\xa9%d,x\n" % (i, i % 3) for i in range(34)]  # 9 bytes, 8 characters
+    rows[16] = b'16,"\xc3\xa9,q",x\n'
+    rows[31] = fault
+    data = b"\xef\xbb\xbfa,b,cc\n" + b"".join(rows)
+    ends = np.cumsum([end for _, end in table_module._blocks(io.BytesIO(data))])
+    assert len(ends) == 5 and ends[1] < data.index(b'"') < ends[2] < data.index(fault) > ends[3]
+    with pytest.raises(IngestError) as exc:
+        ingest_delimited(Trickle(data) if stream else data)
+    byte = data.index(fault)
+    assert str(exc.value) == message.format(record=33, byte=byte)
+    assert data[:byte].count(b"\n") + 1 == 33
+    assert tokenized == [True, True, False]
 
 
 @pytest.mark.parametrize("block", [1 << 20, 8])
@@ -1278,6 +1392,25 @@ def test_arbitrary_bytes_ingest_as_the_reference_or_raise_ingest_error(case, blo
     names, cells = reference_ingest(data, opts)
     assert table.column_names == names
     assert table.cells == cells
+
+
+def ingest_outcome(source, opts: IngestOptions) -> tuple:
+    """The table's names, keys and codes, or the fault's message and record."""
+    try:
+        table = ingest_delimited(source, opts)
+    except IngestError as exc:
+        return str(exc), exc.row
+    kept = [[(k.dtype, k.tolist()) for k in keys.kept] for keys in table.distinct]
+    return table.column_names, kept, [(c.dtype, c.tolist()) for c in table.codes]
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzzed_inputs(), st.integers(1, 32))
+def test_a_stream_of_short_reads_ingests_as_its_bytes_or_raises_the_same_fault(case, block):
+    data, opts = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(table_module, "_BLOCK_BYTES", block)
+        assert ingest_outcome(Trickle(data), opts) == ingest_outcome(data, opts)
 
 
 @settings(max_examples=150, deadline=None)
