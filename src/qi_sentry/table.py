@@ -41,13 +41,17 @@ in width classes of powers of two, so no key is padded to more than
 twice its length, by :func:`_factorize`: one argsort, or for ``uint64``
 keys of a small span no sort. Each block writes its cells' indexes into
 its own distinct keys straight into one code array a column, sized for
-the rows the input's length implies where that is known. At the end,
-one factorization per class merges a column's keys across blocks, and
-one take per block remaps its rows, in place where the merged codes
-keep the array's dtype. Equal values have equal lengths and so meet in
-one class. The empty key and the NA token become missing, and the table
-keeps the other merged keys undecoded. Values are ordered by class,
-then by key, with missing last.
+the rows the input's length implies where that is known, and grown by
+half where it is not. At the end, one factorization per class merges a
+column's keys across blocks, and one take per block remaps its rows, in
+place where the merged codes keep the array's dtype. A near-unique
+column, whose keys all fit in 8 bytes, would keep about as many
+distinct keys as rows: it writes its raw ``uint64`` keys into its code
+array instead, keeps no keys per block, and is factorized once at the
+end, its ``int32`` inverse becoming its codes. Equal values have equal
+lengths and so meet in one class. The empty key and the NA token become
+missing, and the table keeps the other merged keys undecoded. Values
+are ordered by class, then by key, with missing last.
 
 The writer ends each distinct value's key with the key of its delimiter
 or newline, zero-pads it to its column's widest, and gathers about
@@ -94,10 +98,10 @@ _ASCII_WS = " \t\r\n\x0b\x0c"
 _CHUNK_RECORDS = 4096
 
 # Bytes read per block of ingest. On the same machine, select children on the seed-9901
-# benchmark files (10 alternating runs each) peaked at 39.5, 41.3 and 44.6 MB RSS on the
-# 700k-row lowcard file, and at 60.1, 58.1 and 57.5 MB on the 300k-row tall one, with
-# blocks of 512 KiB, 1 MiB and 2 MiB; median wall 0.40, 0.38 and 0.37 s, and 0.41, 0.42
-# and 0.42 s.
+# benchmark files (10 rotating runs each) peaked at 39.5, 41.3 and 44.6 MB RSS on the
+# 700k-row lowcard file, and at 54.7, 52.7 and 51.9 MB on the 300k-row tall one, with
+# blocks of 512 KiB, 1 MiB and 2 MiB; median wall 0.41, 0.42 and 0.40 s, and 0.57, 0.56
+# and 0.55 s.
 _BLOCK_BYTES = 1 << 20
 
 # Bytes of a block's separator mask whose positions are found at a time, in int64 before
@@ -510,6 +514,10 @@ class _Columns:
     row and row count. The merge remaps the rows, in place where the
     dtype allows. Both parsers and :meth:`Table.from_rows` add to it.
 
+    A column whose first block :func:`_keeps_raw` is raw: its ``codes[j]``
+    is ``uint64`` and holds each row's key itself, and it has no keys or
+    parts until a field over 8 bytes turns its rows so far into one part.
+
     ``size`` is how many bytes the input holds, if known, and ``read`` how
     many of them the records added so far came from; the code arrays are
     sized for the rows the input holds at that rate.
@@ -556,7 +564,8 @@ class _Columns:
         fields fall in one width class is keyed in one piece, and the
         ``int32`` inverse of its factorization is cast straight into the
         column's code array; only a column of several classes gathers and
-        offsets each first.
+        offsets each first. A raw column's keys go into its code array as
+        they are, with no factorization, while they fit in 8 bytes.
         """
         width = len(self.names)
         first, rows = self.rows, (len(bounds) - 1) // width
@@ -569,9 +578,23 @@ class _Columns:
             # keys in width classes, uint64 up to 8 bytes and then powers of two, so none is
             # padded to over twice its bytes; often a column's fields all fall in one
             shortest, longest = int(lengths.min()), int(lengths.max())
+            codes = self.codes[j]
+            if codes.dtype == np.uint64:  # raw keys (_keeps_raw), factorized once by the merge
+                if longest <= 8:
+                    raw = _field_keys(buf, starts, lengths, shortest, longest)
+                    codes[first : first + rows] = raw
+                    continue
+                distinct, local = _factorize(codes[:first])  # its rows so far become one part
+                keys.append(distinct)
+                part.append((0, 0, first))
+                self.codes[j] = codes = _moved(local, len(codes), code_dtype(len(distinct)), first)
             offset = sum(map(len, keys))
             if (max(8, shortest) - 1).bit_length() == (max(8, longest) - 1).bit_length():
                 distinct, local = _factorize(_field_keys(buf, starts, lengths, shortest, longest))
+                if not first and longest <= 8 and _keeps_raw(len(distinct), rows):
+                    self.codes[j] = np.empty(len(codes), dtype=np.uint64)
+                    distinct.take(local, out=self.codes[j][:rows])
+                    continue
                 keys.append(distinct)
             else:
                 exponents = np.frexp(np.maximum(lengths, 8) - 1)[1]
@@ -596,13 +619,14 @@ class _Columns:
 
         The new room is for the rows the input holds at the rate of the
         bytes read so far, and a sixteenth more; or, if the input's size
-        is unknown or the estimate falls short, twice the old room.
+        is unknown or the estimate falls short, the old room and half as
+        much again.
         """
         room = len(self.codes[0]) if self.codes else rows
         if rows <= room:
             return
         ahead = rows * self.size // self.read if self.size and self.read else 0
-        room = max(rows, ahead + ahead // 16, 2 * room)
+        room = max(rows, ahead + ahead // 16, room + room // 2)
         for j, codes in enumerate(self.codes):  # one column's two arrays alive at a time
             self.codes[j] = _moved(codes, room, codes.dtype, self.rows)
 
@@ -627,6 +651,28 @@ def _moved(codes: np.ndarray, room: int, dtype: np.dtype, rows: int) -> np.ndarr
     return moved
 
 
+def _keeps_raw(distinct: int, rows: int) -> bool:
+    """Whether a column keeps raw ``uint64`` keys, from its first block's ``rows`` keys.
+
+    Those keys all fit in 8 bytes, and ``distinct`` of them differ. Raw
+    keys cost 8 bytes a row; kept per block, the distinct keys and the
+    narrow codes would take at least as many.
+    """
+    return 8 * distinct + code_dtype(distinct).itemsize * rows >= 8 * rows
+
+
+def _coded(distinct: np.ndarray, na: bytes, before: int) -> tuple[np.ndarray, np.ndarray]:
+    """A class's sorted distinct keys: the kept ones as bytes, and each one's code.
+
+    The empty key and ``na`` are missing, coded -1; the others are kept,
+    coded ``before`` plus their rank among the kept.
+    """
+    raw = distinct.view("S8") if distinct.dtype.kind == "u" else distinct
+    kept = (raw != b"") & (raw != na)
+    code = np.where(kept, before + np.cumsum(kept, dtype=np.int32) - 1, -1)
+    return (raw if kept.all() else raw[kept]), code
+
+
 def _merge(
     keys: list, parts: list, codes: np.ndarray, rows: int, na: bytes
 ) -> tuple[_Keys, np.ndarray]:
@@ -640,7 +686,21 @@ def _merge(
     coded last. Where the merged codes have the dtype of ``codes``, one
     take per block remaps its rows in place, and the codes are a view of
     ``codes``' first ``rows``; otherwise the takes write a new array.
+
+    ``uint64`` codes are a raw column's keys (:func:`_keeps_raw`), with
+    no keys or parts: one factorization of them, with no concatenation,
+    gives the codes as its ``int32`` inverse, remapped in place only if a
+    key is missing, and narrowed only if it has few distinct keys.
     """
+    if codes.dtype == np.uint64:
+        distinct, ids = _factorize(codes[:rows])
+        values, code = _coded(distinct, na, 0)
+        missing = len(values) < len(code)
+        if missing:  # coded last
+            code[code < 0] = len(values)
+            code.take(ids, out=ids, mode="clip")
+        ids = ids.astype(code_dtype(len(values) + missing), copy=False)
+        return _Keys((values,) if len(values) else (), missing), ids
     bounds = np.cumsum([0, *map(len, keys)])
     widths = [1 << (k.itemsize - 1).bit_length() for k in keys]
     code_of = np.empty(bounds[-1], dtype=np.int32)
@@ -653,17 +713,15 @@ def _merge(
             keys[i] = None
         distinct, inverse = _factorize(merged)
         del merged  # before the codes are built
-        raw = distinct.view("S8") if distinct.dtype.kind == "u" else distinct
-        kept = (raw != b"") & (raw != na)
-        code = np.where(kept, kept_so_far + np.cumsum(kept, dtype=np.int32) - 1, -1)
+        kept, code = _coded(distinct, na, kept_so_far)
         start = 0
         for i in same:  # the class's keys are its blocks', in block order
             block = code_of[bounds[i] : bounds[i + 1]]
             code.take(inverse[start : start + len(block)], out=block, mode="clip")
             start += len(block)
-        if kept.any():
-            values.append(raw[kept])
-        kept_so_far += int(np.count_nonzero(kept))
+        if len(kept):
+            values.append(kept)
+        kept_so_far += len(kept)
     missing = code_of < 0
     code_of[missing] = kept_so_far
     code_of = code_of.astype(code_dtype(kept_so_far + missing.any()), copy=False)

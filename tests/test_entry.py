@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from qi_sentry.cli import main
+from qi_sentry.generate import ColumnSpec, SyntheticSpec, generate_table
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -99,6 +100,26 @@ def test_select_reads_a_pipe_of_several_blocks_as_its_file(select_argv):
     from_pipe = from_file.replace('"table": "t"', '"table": "stdin"', 1)
     assert from_pipe != from_file
     assert entry(argv, stdin=text) == (0, from_pipe, "")
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv", "text"])
+def test_select_reads_a_near_unique_column_from_a_pipe_as_from_its_file(select_argv, fmt):
+    # the mrn column is near-unique, so ingest keeps its raw keys across 3 blocks of a pipe;
+    # the file is named stdin.csv, so both runs name the table "stdin"
+    spec = SyntheticSpec(rows=160_000, seed=11, name="stdin", columns=(
+        ColumnSpec("mrn", 320_000), ColumnSpec("sex", 2), ColumnSpec("ward", 40),
+        ColumnSpec("postal", 900, "zipf(1.3)"),
+    ))
+    text = generate_table(spec).to_delimited()
+    assert len(text) > 2 << 20  # three blocks of ingest
+    argv = [*select_argv, "--format", fmt]
+    path = Path(argv[argv.index("--input") + 1]).with_name("stdin.csv")
+    path.write_text(text)
+    argv[argv.index("--input") + 1] = str(path)
+    code, from_file, err = entry(argv)
+    assert (code, err) == (0, "") and "stdin" in from_file
+    argv[argv.index("--input") + 1] = "/dev/stdin"
+    assert entry(argv, stdin=text) == (0, from_file, "")
 
 
 @pytest.mark.parametrize("buffered", [False, True])

@@ -12,6 +12,8 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
+
 from qi_sentry import metrics, table
 from qi_sentry.assessment import parse_form
 from qi_sentry.classifier import parse_rules, rules_to_doc
@@ -62,3 +64,12 @@ def test_readme_states_the_step_the_occupancy_array_is_marked_in():
     text = " ".join(README.split())
     stated = re.findall(r"marks the keys of ([\d,]+) rows at a time", text)
     assert stated == [f"{metrics._STEP_ROWS:,}"]
+
+
+def test_readme_states_the_step_a_pipes_code_arrays_grow_by():
+    text = " ".join(README.split())
+    stated = re.findall(r"for a pipe, or when the estimate falls short, it grows by (\w+)", text)
+    columns = table._Columns(["a"])  # of no known size, as a pipe is
+    columns.codes[0] = np.empty(1000, dtype=np.uint8)
+    columns._reserve(1001)
+    assert stated == ["half"] and len(columns.codes[0]) == 1500

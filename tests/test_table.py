@@ -775,26 +775,32 @@ def test_ingest_holds_one_block_at_a_time(monkeypatch, tokenized):
 def test_each_columns_codes_are_written_once(monkeypatch, tokenized):
     # each block writes its codes into one array a column, and the merge remaps them in place;
     # only a column whose merged dtype differs from its blocks' is written anew: 300 values,
-    # at most 170 a block (uint8 blocks, uint16 merged), or 255 values, the empty key and
-    # the NA token (257 keys a block, uint16; 256 codes merged, uint8)
-    monkeypatch.setattr(table_module, "_BLOCK_BYTES", 4096)
+    # at most 177 a block (uint8 blocks, uint16 merged), or 255 values, the empty key and
+    # the NA token (257 keys a block, uint16; 256 codes merged, uint8). A near-unique
+    # column writes its raw uint64 keys once, and its one factorization gives its codes
+    monkeypatch.setattr(table_module, "_BLOCK_BYTES", 8192)
     keys = ["", "NA", *(f"n{i}" for i in range(255))]
-    lines = [f"{'xyz'[i % 3]},w{i // 2 % 300},{keys[i % 257]}\n" for i in range(3000)]
-    data = ("low,wide,narrow\n" + "".join(lines)).encode()
+    lines = [f"{'xyz'[i % 3]},w{i // 3 % 300},{keys[i % 257]},{i * 7919 % 3000}\n"
+             for i in range(3000)]
+    data = ("low,wide,narrow,id\n" + "".join(lines)).encode()
     written = []
     merge = table_module._Columns.table
 
     def table(columns, name, na):
         written.extend(columns.codes)
+        assert [len(keys) for keys in columns.keys][-1] == 0  # no block keys for the raw one
         return merge(columns, name, na)
 
     monkeypatch.setattr(table_module._Columns, "table", table)
     ingested = ingest_delimited(data)
     assert len(tokenized) > 4 and all(tokenized)
-    assert [codes.dtype for codes in written] == [np.uint8, np.uint8, np.uint16]
-    assert [codes.dtype for codes in ingested.codes] == [np.uint8, np.uint16, np.uint8]
+    assert [codes.dtype for codes in written] == [np.uint8, np.uint8, np.uint16, np.uint64]
+    assert [codes.dtype for codes in ingested.codes] == [
+        np.uint8, np.uint16, np.uint8, np.uint16
+    ]
     shared = [np.shares_memory(codes, w) for codes, w in zip(ingested.codes, written)]
-    assert shared == [True, False, False]
+    assert shared == [True, False, False, False]
+    assert ingested.cardinality(3) == 3000
     assert_matches_reference(data, IngestOptions(table_name="t"))
 
 
@@ -833,15 +839,37 @@ def test_a_stream_of_unknown_length_and_short_reads_ingests_as_its_bytes(monkeyp
     rooms = spy_moves(monkeypatch)
     table = ingest_delimited(Trickle(data))
     assert len(tokenized) > 20 and all(tokenized)
-    # with no size to estimate the rows from, each column's room doubles
+    # with no size to estimate the rows from, each column's room grows by at least half
     assert len(rooms) > 2 * 4 and rooms[::2] == rooms[1::2]
-    assert all(room == 2 * before for before, room in zip(rooms[::2], rooms[2::2]))
+    assert all(room >= before + before // 2 for before, room in zip(rooms[::2], rooms[2::2]))
     expected = ingest_delimited(data)
     assert table == expected and table.values == expected.values
     for codes, expected_codes in zip(table.codes, expected.codes):
         assert codes.dtype == expected_codes.dtype and np.array_equal(codes, expected_codes)
     assert table.column_values("b")[-2:] == ("\u00e94", "last")
     assert_matches_reference(data, IngestOptions(table_name="t"))
+
+
+def test_a_stream_of_unknown_length_grows_its_code_arrays_by_half(monkeypatch):
+    # lines of 4 bytes, 64 to a 256-byte block: at each row count the room, grown by half
+    # from the first block's rows, is within 1.5 times the rows filled plus one block;
+    # doubled, it is not after 9 blocks (room for 1008 rows, 575 filled)
+    monkeypatch.setattr(table_module, "_BLOCK_BYTES", 256)
+    block_rows = 256 // 4
+    rooms = []
+    merge = table_module._Columns.table
+
+    def table(columns, name, na):
+        rooms.append((len(columns.codes[0]), columns.rows))
+        return merge(columns, name, na)
+
+    monkeypatch.setattr(table_module._Columns, "table", table)
+    for blocks in range(1, 30):
+        data = b"a,b\n" + b"".join(b"%d,%d\n" % (i % 7, i % 5) for i in range(64 * blocks - 1))
+        assert ingest_delimited(Trickle(data)) == ingest_delimited(data)
+    assert [rows for _, rows in rooms[::2]] == [64 * blocks - 1 for blocks in range(1, 30)]
+    for room, rows in rooms[::2]:
+        assert rows <= room <= 1.5 * rows + block_rows
 
 
 def test_an_input_of_known_size_allocates_each_code_array_once(monkeypatch, tmp_path):
@@ -1540,6 +1568,98 @@ def test_an_id_column_ingests_within_64_bytes_a_row():
     table, peak = traced_peak(lambda: ingest_delimited(data))
     assert table.cardinality(0) == rows
     assert peak < 64 * rows
+
+
+def test_unique_7_byte_ids_beside_a_low_cardinality_column_ingest_within_37_bytes_a_row(
+    monkeypatch,
+):
+    # 200k unique 7-byte IDs in 8 blocks keep their raw uint64 keys in their one code array,
+    # factorized once at the end: traced peak 34.6 bytes a row, where per-block keys and
+    # their merge took 40.2; the table holds 13 (an int32 code and a uint64 key an ID, and
+    # a uint8 code for the other column)
+    monkeypatch.setattr(table_module, "_BLOCK_BYTES", 1 << 18)
+    rows = 200_000
+    ids = list(range(rows))
+    random.Random(37).shuffle(ids)
+    data = b"id,k\n" + b"".join(b"i%06d,%c\n" % (i, b"abc"[i % 3]) for i in ids)
+    assert len(data) > 7 * table_module._BLOCK_BYTES
+    table, peak = traced_peak(lambda: ingest_delimited(data))
+    assert [table.cardinality(p) for p in range(2)] == [rows, 3]
+    assert peak < 37 * rows
+
+
+def tables_alike(a: Table, b: Table) -> None:
+    """Equal tables whose codes, code dtypes and byte keys are identical too."""
+    assert a == b and a.values == b.values
+    for x, y in zip(a.distinct, b.distinct):
+        assert x.missing == y.missing
+        assert [(k.dtype, k.tobytes()) for k in x.kept] == [(k.dtype, k.tobytes()) for k in y.kept]
+    for x, y in zip(a.codes, b.codes):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def test_a_raw_column_that_meets_a_long_field_keeps_its_rows_as_one_part(monkeypatch, tokenized):
+    # a near-unique column goes raw in block 1; a 12-byte field in a later block turns its
+    # rows so far into one part of block keys, and a quote sends the rest to csv.reader
+    monkeypatch.setattr(table_module, "_BLOCK_BYTES", 64)
+    rows = [b"%d,%s\n" % (i, b"NA" if i % 9 == 4 else b" x " if i % 2 else b"") for i in range(60)]
+    rows[30] = b"longer than 8,y\n"
+    rows[45] = b'"45",y\n'
+    data = b"id,k\n" + b"".join(rows)
+    parts = []
+    merge = table_module._Columns.table
+
+    def table(columns, name, na):
+        parts.append(([codes.dtype for codes in columns.codes], list(columns.parts[0])))
+        return merge(columns, name, na)
+
+    monkeypatch.setattr(table_module._Columns, "table", table)
+    ingested = ingest_delimited(data)
+    assert tokenized[:2] == [True, True] and not tokenized[-1]
+    (dtypes, id_parts), = parts
+    assert dtypes[0] != np.uint64 and id_parts[0][:2] == (0, 0) and id_parts[0][2] < 30
+    assert ingested.column_values("id")[30] == "longer than 8"
+    assert ingested.cardinality(0) == 60
+    assert_matches_reference(data, IngestOptions(table_name="t"))
+    monkeypatch.setattr(table_module, "_keeps_raw", lambda distinct, rows: False)
+    tables_alike(ingested, ingest_delimited(data))
+
+
+RAW_CELLS = st.one_of(
+    st.sampled_from(["a", " b", "c\t", "NA", " NA ", "", "  ", "eeeeeeee", " ffffffff\t",
+                     "x,y", 'q"t']),
+    st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E, blacklist_characters='",'),
+            max_size=8),
+    st.text(CELL_CHARS, min_size=9, max_size=20),
+)
+
+
+@st.composite
+def raw_inputs(draw):
+    """Rows of short and long cells, missing and NA ones, and quoted ones."""
+    n_cols = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(RAW_CELLS, min_size=n_cols, max_size=n_cols), min_size=1,
+                         max_size=40))
+    names = [f"c{j}" for j in range(n_cols)]
+    return names, rows, to_bytes(names, rows, ",", draw(st.booleans()), "\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_inputs(), st.sampled_from([16, 64, table_module._BLOCK_BYTES]), st.integers(1, 5))
+def test_raw_keys_give_the_tables_that_block_keys_give(case, block, chunk):
+    # the raw rule patched to always and to never: a short column goes raw in its first
+    # block or chunk, and may then meet a field over 8 bytes or csv.reader's chunks
+    names, rows, data = case
+    built = []
+    for rule in (lambda distinct, rows: True, lambda distinct, rows: False):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(table_module, "_keeps_raw", rule)
+            patch.setattr(table_module, "_BLOCK_BYTES", block)
+            patch.setattr(table_module, "_CHUNK_RECORDS", chunk)
+            built.append((ingest_delimited(data), Table.from_rows("t", names, rows)))
+    (raw_ingested, raw_built), (ingested, from_rows) = built
+    tables_alike(raw_ingested, ingested)
+    tables_alike(raw_built, from_rows)
 
 
 @pytest.mark.parametrize("block", [32, table_module._BLOCK_BYTES])
